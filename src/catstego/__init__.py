@@ -35,6 +35,7 @@ from .schedule import (
     KeyFormatError,
     ScrambleSchedule,
     Stage,
+    composite_matrix,
     parse_key,
     random_schedule,
     schedule_scramble,

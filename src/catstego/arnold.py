@@ -116,27 +116,48 @@ def _pow(m: tuple, t: int, n: int) -> tuple[int, int, int, int]:
     return acc
 
 
-def _inverse(m: ArnoldMatrix) -> tuple[int, int, int, int]:
-    # det is +-1, so det * adjugate is the exact integer inverse
-    det = m.a * m.d - m.b * m.c
-    return (det * m.d, -det * m.b, -det * m.c, det * m.a)
+def _stage_power(spec: TransformSpec, t: int, n: int) -> tuple[int, int, int, int]:
+    """M^t mod n for one transform; t must be >= 0."""
+    if t < 0:
+        raise ValueError(f"iteration count must be >= 0, got {t}")
+    m = matrix_for(spec)
+    return _pow((m.a, m.b, m.c, m.d), t, n)
 
 
-def _scatter(grid: np.ndarray, m: tuple[int, int, int, int]) -> np.ndarray:
-    """Move the value at (x, y) to ((a*x + b*y) % n, (c*x + d*y) % n).
+def _destinations(m: tuple, n: int) -> np.ndarray:
+    """Flat row-major index that the value at (x, y) moves to: the cell
+    ((a*x + b*y) % n, (c*x + d*y) % n), with x the row and y the column, both
+    0-based. The golden orbit fixtures pin this convention.
 
-    x indexes rows and y indexes columns, both 0-based. This convention is
-    load-bearing: the golden orbit fixtures pin it and it must not change.
+    a*x, b*y, c*x and d*y are reduced as length-n vectors; a sum s of two
+    residues is below 2n, and in unsigned arithmetic min(s, s - n) = s mod n.
     """
-    n = grid.shape[0]
-    a, b, c, d = _reduce(m, n)
-    x = np.arange(n).reshape(-1, 1)
-    y = np.arange(n)
-    dx = (a * x + b * y) % n
-    dy = (c * x + d * y) % n
-    out = np.empty_like(grid)
-    out[dx, dy] = grid
+    dt = np.uint32 if n <= 1 << 16 else np.uint64  # n*n must fit the index type
+    r = np.arange(n, dtype=dt)
+    ax, by, cx, dy = (r * dt(k) % dt(n) for k in _reduce(m, n))
+
+    def wrap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        s = u[:, None] + v
+        return np.minimum(s, s - dt(n), out=s)
+
+    flat = wrap(ax, by)
+    flat *= dt(n)
+    flat += wrap(cx, dy)
+    return flat.ravel()
+
+
+def scatter(grid: np.ndarray, m: tuple) -> np.ndarray:
+    """Move every cell of a square grid to its destination under matrix m."""
+    grid = np.asarray(grid)
+    out = np.empty(grid.shape, dtype=grid.dtype)
+    out.ravel()[_destinations(m, grid.shape[0])] = grid.ravel()
     return out
+
+
+def gather(grid: np.ndarray, m: tuple) -> np.ndarray:
+    """Inverse of ``scatter(grid, m)``: read every cell back from its destination."""
+    grid = np.asarray(grid)
+    return np.take(grid, _destinations(m, grid.shape[0])).reshape(grid.shape)
 
 
 # -- public operations --------------------------------------------------------
@@ -144,10 +165,7 @@ def _scatter(grid: np.ndarray, m: tuple[int, int, int, int]) -> np.ndarray:
 
 def apply_once(grid: np.ndarray, spec: TransformSpec) -> np.ndarray:
     """Apply one iteration of the transform to every cell of ``grid``."""
-    grid = np.asarray(grid)
-    grid_side(grid)
-    m = matrix_for(spec)
-    return _scatter(grid, (m.a, m.b, m.c, m.d))
+    return scatter(grid, _stage_power(spec, 1, grid_side(grid)))
 
 
 def scramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
@@ -156,26 +174,16 @@ def scramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
     Implemented as a single scatter with the matrix power M^t mod N, which is
     exactly the t-fold composition of apply_once.
     """
-    grid = np.asarray(grid)
-    grid_side(grid)
-    if t < 0:
-        raise ValueError(f"iteration count must be >= 0, got {t}")
-    m = matrix_for(spec)
-    return _scatter(grid, _pow((m.a, m.b, m.c, m.d), t, grid.shape[0]))
+    return scatter(grid, _stage_power(spec, t, grid_side(grid)))
 
 
 def unscramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
     """Exact inverse of ``scramble(grid, spec, t)``.
 
-    Uses the integer inverse matrix, so it agrees with applying the forward
-    transform (period - t) times without ever computing the period.
+    Gathers through the same forward index that scramble scatters through,
+    so neither the inverse matrix nor the period is ever computed.
     """
-    grid = np.asarray(grid)
-    grid_side(grid)
-    if t < 0:
-        raise ValueError(f"iteration count must be >= 0, got {t}")
-    inv = _inverse(matrix_for(spec))
-    return _scatter(grid, _pow(inv, t, grid.shape[0]))
+    return gather(grid, _stage_power(spec, t, grid_side(grid)))
 
 
 def matrix_period(m: ArnoldMatrix, n: int) -> int:

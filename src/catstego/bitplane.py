@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arnold import _as_int, grid_side
-from .schedule import ScrambleSchedule, schedule_scramble, schedule_unscramble
+from .schedule import ScrambleSchedule, check_planes, schedule_scramble, schedule_unscramble
 
 
 def as_gray(img: np.ndarray) -> np.ndarray:
@@ -32,34 +32,31 @@ def as_binary(img: np.ndarray) -> np.ndarray:
     grid_side(a)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"binary image must be integer-valued, got {a.dtype}")
-    if not np.isin(a, (0, 1)).all():
+    if a.max() > 1 or a.min() < 0:
         raise ValueError("binary image values must be 0 or 1")
     return a.astype(np.uint8)
-
-
-def _check_plane(p: int) -> int:
-    p = _as_int(p, "plane index")
-    if not 0 <= p <= 7:
-        raise ValueError(f"plane index must be in [0, 7], got {p}")
-    return p
 
 
 def get_plane(img: np.ndarray, p: int) -> np.ndarray:
     """Bit p of every pixel, as a binary image."""
     img = as_gray(img)
-    p = _check_plane(p)
+    (p,) = check_planes([p])
     return (img >> p) & np.uint8(1)
 
 
 def set_plane(img: np.ndarray, p: int, bits: np.ndarray) -> np.ndarray:
     """Replace bit p of every pixel with ``bits``; all other bits untouched."""
     img = as_gray(img)
-    p = _check_plane(p)
+    (p,) = check_planes([p])
     bits = as_binary(bits)
     if bits.shape != img.shape:
         raise ValueError(f"plane side {bits.shape[0]} does not match image side {img.shape[0]}")
     keep = img & np.uint8(0xFF ^ (1 << p))
     return keep | (bits << np.uint8(p))
+
+
+def _plane_mask(planes: list[int]) -> np.uint8:
+    return np.uint8(sum(1 << p for p in planes))
 
 
 def embed(
@@ -71,25 +68,25 @@ def embed(
     """Scramble each message with ``sched`` and write it into its bit plane.
 
     Message k goes to planes[k]; planes must be distinct and every message
-    must match the cover side. Planes not listed stay bit-identical.
+    must match the cover side. Planes not listed stay bit-identical. All
+    planes share one permutation, so the messages are packed into one byte
+    per pixel and scrambled together.
     """
     cover = as_gray(cover)
-    planes = [_check_plane(p) for p in planes]
+    planes = check_planes(planes)
     if len(messages) != len(planes):
         raise ValueError(
             f"{len(messages)} messages but {len(planes)} planes; counts must match"
         )
-    if len(set(planes)) != len(planes):
-        raise ValueError(f"duplicate plane index in {planes}")
-    stego = cover.copy()
+    packed = np.zeros(cover.shape, dtype=np.uint8)
     for msg, p in zip(messages, planes):
         msg = as_binary(msg)
         if msg.shape != cover.shape:
             raise ValueError(
                 f"message side {msg.shape[0]} does not match cover side {cover.shape[0]}"
             )
-        stego = set_plane(stego, p, schedule_scramble(msg, sched))
-    return stego
+        packed |= msg << np.uint8(p)
+    return (cover & ~_plane_mask(planes)) | schedule_scramble(packed, sched)
 
 
 def extract(
@@ -97,8 +94,9 @@ def extract(
 ) -> list[np.ndarray]:
     """Read each listed plane and unscramble it back into a message."""
     stego = as_gray(stego)
-    planes = [_check_plane(p) for p in planes]
-    return [schedule_unscramble(get_plane(stego, p), sched) for p in planes]
+    planes = check_planes(planes)
+    scrambled = schedule_unscramble(stego & _plane_mask(planes), sched)
+    return [(scrambled >> np.uint8(p)) & np.uint8(1) for p in planes]
 
 
 # -- byte payload packing ------------------------------------------------------

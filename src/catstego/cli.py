@@ -73,17 +73,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_scramble(args) -> int:
+    """``scramble`` and ``unscramble``: ``args.transform`` picks the direction."""
     kind, img = netpbm.read_auto(args.image)
     sched, _ = _load_key(args.key)
-    out = schedule.schedule_scramble(img, sched)
-    (netpbm.write_gray if kind == "gray" else netpbm.write_binary)(args.out, out)
-    return 0
-
-
-def cmd_unscramble(args) -> int:
-    kind, img = netpbm.read_auto(args.image)
-    sched, _ = _load_key(args.key)
-    out = schedule.schedule_unscramble(img, sched)
+    out = args.transform(img, sched)
     (netpbm.write_gray if kind == "gray" else netpbm.write_binary)(args.out, out)
     return 0
 
@@ -123,7 +116,7 @@ def cmd_keygen(args) -> int:
     rng = random.Random(args.seed)
     sched = schedule.random_schedule(args.side, args.stages, rng)
     text = schedule.serialize_key(sched, args.planes)
-    netpbm.atomic_write_bytes(args.out, text.encode("ascii"))
+    netpbm.atomic_write_bytes(args.out, text.encode("ascii"), mode=0o600)
     return 0
 
 
@@ -154,17 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unpack each recovered plane back into raw bytes")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("scramble", help="scramble a whole image with a key's schedule")
-    p.add_argument("image", help="P5 or P4 image")
-    p.add_argument("key", help="key file")
-    p.add_argument("out", help="output image (same format as input)")
-    p.set_defaults(func=cmd_scramble)
-
-    p = sub.add_parser("unscramble", help="invert a key's schedule on a whole image")
-    p.add_argument("image", help="P5 or P4 image")
-    p.add_argument("key", help="key file")
-    p.add_argument("out", help="output image (same format as input)")
-    p.set_defaults(func=cmd_unscramble)
+    for name, transform, what in (
+        ("scramble", schedule.schedule_scramble, "scramble a whole image with a key's schedule"),
+        ("unscramble", schedule.schedule_unscramble, "invert a key's schedule on a whole image"),
+    ):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("image", help="P5 or P4 image")
+        p.add_argument("key", help="key file")
+        p.add_argument("out", help="output image (same format as input)")
+        p.set_defaults(func=cmd_scramble, transform=transform)
 
     p = sub.add_parser("period", help="print the period of one transform")
     p.add_argument("family", type=_family, help="classic, rowfirst, or colfirst")

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arnold import grid_side
+
 PEAK = 255
 
 
@@ -17,16 +19,20 @@ def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"images must be square and non-empty, got shape {a.shape}")
+    grid_side(a)
     return a, b
+
+
+def _db(m: float) -> float:
+    return 10.0 * math.log10(PEAK * PEAK / m)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared intensity difference."""
     a, b = _pair(a, b)
-    diff = a.astype(np.int64) - b.astype(np.int64)
-    return float(np.mean(diff * diff))
+    # the integer sum is exact, so one rounding (the division) gives the mean
+    diff = np.subtract(a, b, dtype=np.int64, casting="unsafe").ravel()
+    return int(np.dot(diff, diff)) / diff.size
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -35,14 +41,14 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     m = mse(a, b)
     if m == 0:
         raise ValueError("images are identical: PSNR is infinite")
-    return 10.0 * math.log10(PEAK * PEAK / m)
+    return _db(m)
 
 
 def bit_preservation_ratio(cover: np.ndarray, stego: np.ndarray) -> float:
     """Fraction of all 8 * N * N cover bits left unchanged."""
     cover, stego = _pair(cover, stego)
-    changed = np.unpackbits((cover.astype(np.uint8) ^ stego.astype(np.uint8)).ravel())
-    return 1.0 - float(changed.mean())
+    changed = np.bitwise_count(cover.astype(np.uint8) ^ stego.astype(np.uint8))
+    return 1.0 - int(changed.sum(dtype=np.int64)) / (8 * changed.size)
 
 
 def bit_agreement(a: np.ndarray, b: np.ndarray) -> float:
@@ -72,6 +78,6 @@ def compare(cover: np.ndarray, stego: np.ndarray) -> MetricsReport:
     m = mse(cover, stego)
     return MetricsReport(
         mse=m,
-        psnr=None if m == 0 else 10.0 * math.log10(PEAK * PEAK / m),
+        psnr=None if m == 0 else _db(m),
         bit_preservation=bit_preservation_ratio(cover, stego),
     )

@@ -11,7 +11,6 @@ bits abstractly, so polarity only matters when viewing files.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -24,11 +23,13 @@ class NetpbmError(ValueError):
     """Malformed or unsupported Netpbm content."""
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp file in same dir + rename)."""
+def atomic_write_bytes(path, data: bytes, mode: int = 0o666) -> None:
+    """Write ``data`` to ``path`` atomically (temp file in same dir + rename),
+    with ``mode`` less the umask as its permissions; key files pass 0o600."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    tmp = os.path.join(os.path.dirname(path), f".tmp.{os.urandom(8).hex()}.part")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, mode)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -74,34 +75,39 @@ def _int_token(tok: bytes, what: str, path) -> int:
         raise NetpbmError(f"{path}: {what} is not an integer: {tok!r}") from None
 
 
-def _square(w: int, h: int, path) -> int:
+def _read(path, magic: bytes, n_tokens: int) -> tuple[bytes, int, int, list[bytes]]:
+    """The file's bytes, raster offset and side, and its header tokens after
+    width and height."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:2] != magic:
+        raise NetpbmError(f"{path}: bad magic number {data[:2]!r}, expected {magic.decode()}")
+    toks, offset = _header(data[2:], n_tokens, path)
+    w = _int_token(toks[0], "width", path)
+    h = _int_token(toks[1], "height", path)
     if w < 1 or h < 1:
         raise NetpbmError(f"{path}: image dimensions must be positive, got {w}x{h}")
     if w != h:
         raise NetpbmError(f"{path}: image must be square, got {w}x{h}")
-    return w
+    return data, offset + 2, w, toks[2:]
+
+
+def _raster(data: bytes, offset: int, size: int, path) -> np.ndarray:
+    raster = data[offset : offset + size]
+    if len(raster) < size:
+        raise NetpbmError(
+            f"{path}: truncated raster, expected {size} bytes, got {len(raster)}"
+        )
+    return np.frombuffer(raster, dtype=np.uint8)
 
 
 def read_gray(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 255) square image as uint8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] != b"P5":
-        raise NetpbmError(f"{path}: bad magic number {data[:2]!r}, expected P5")
-    toks, offset = _header(data[2:], 3, path)
-    offset += 2
-    w = _int_token(toks[0], "width", path)
-    h = _int_token(toks[1], "height", path)
-    maxval = _int_token(toks[2], "maxval", path)
-    n = _square(w, h, path)
+    data, offset, n, (maxval,) = _read(path, b"P5", 3)
+    maxval = _int_token(maxval, "maxval", path)
     if maxval != 255:
         raise NetpbmError(f"{path}: maxval must be 255 (8-bit), got {maxval}")
-    raster = data[offset : offset + n * n]
-    if len(raster) < n * n:
-        raise NetpbmError(
-            f"{path}: truncated raster, expected {n * n} bytes, got {len(raster)}"
-        )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(n, n).copy()
+    return _raster(data, offset, n * n, path).reshape(n, n).copy()
 
 
 def write_gray(path, img: np.ndarray) -> None:
@@ -113,22 +119,9 @@ def write_gray(path, img: np.ndarray) -> None:
 
 def read_binary(path) -> np.ndarray:
     """Read a binary PBM (P4) square image as a 0/1 uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] != b"P4":
-        raise NetpbmError(f"{path}: bad magic number {data[:2]!r}, expected P4")
-    toks, offset = _header(data[2:], 2, path)
-    offset += 2
-    w = _int_token(toks[0], "width", path)
-    h = _int_token(toks[1], "height", path)
-    n = _square(w, h, path)
+    data, offset, n, _ = _read(path, b"P4", 2)
     row_bytes = (n + 7) // 8
-    raster = data[offset : offset + n * row_bytes]
-    if len(raster) < n * row_bytes:
-        raise NetpbmError(
-            f"{path}: truncated raster, expected {n * row_bytes} bytes, got {len(raster)}"
-        )
-    rows = np.frombuffer(raster, dtype=np.uint8).reshape(n, row_bytes)
+    rows = _raster(data, offset, n * row_bytes, path).reshape(n, row_bytes)
     # rows are padded to byte boundaries, bits packed MSB-first
     return np.unpackbits(rows, axis=1)[:, :n].copy()
 

@@ -21,14 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arnold import (
+    _IDENT,
     Family,
     TransformSpec,
     _as_int,
+    _mul,
+    _reduce,
+    _stage_power,
+    gather,
     grid_side,
     period,
-    scramble,
-    unscramble,
+    scatter,
 )
+
+# perfbench/spans.py counts per-stage scatters through these names, which
+# keeps that count at 0 instead of dropping it from the report
+from .arnold import scramble, unscramble  # noqa: F401
 
 
 class KeyFormatError(ValueError):
@@ -76,24 +84,26 @@ def _check_side(grid: np.ndarray, sched: ScrambleSchedule) -> None:
         raise ValueError(f"grid side {n} does not match schedule side {sched.side}")
 
 
-def schedule_scramble(msg: np.ndarray, sched: ScrambleSchedule) -> np.ndarray:
-    """Apply every stage in application order."""
-    _check_side(msg, sched)
-    out = np.asarray(msg)
+def composite_matrix(sched: ScrambleSchedule) -> tuple[int, int, int, int]:
+    """The whole schedule as one position matrix mod N: the product of the
+    stage powers M^t, each multiplied on the left in application order."""
+    acc = _reduce(_IDENT, sched.side)
     for j in sched.order:
         stage = sched.stages[j]
-        out = scramble(out, stage.spec, stage.t)
-    return out
+        acc = _mul(_stage_power(stage.spec, stage.t, sched.side), acc, sched.side)
+    return acc
+
+
+def schedule_scramble(msg: np.ndarray, sched: ScrambleSchedule) -> np.ndarray:
+    """Apply every stage in application order, as one scatter."""
+    _check_side(msg, sched)
+    return scatter(msg, composite_matrix(sched))
 
 
 def schedule_unscramble(scrambled: np.ndarray, sched: ScrambleSchedule) -> np.ndarray:
-    """Invert every stage in reverse application order."""
+    """Invert every stage in reverse application order, as one gather."""
     _check_side(scrambled, sched)
-    out = np.asarray(scrambled)
-    for j in reversed(sched.order):
-        stage = sched.stages[j]
-        out = unscramble(out, stage.spec, stage.t)
-    return out
+    return gather(scrambled, composite_matrix(sched))
 
 
 # -- key file ------------------------------------------------------------------
@@ -101,12 +111,20 @@ def schedule_unscramble(scrambled: np.ndarray, sched: ScrambleSchedule) -> np.nd
 _FAMILY_TAGS = {f.value: f for f in Family}
 
 
-def serialize_key(sched: ScrambleSchedule, planes: list[int]) -> str:
-    """Render a schedule plus its target bit planes as key text."""
+def check_planes(planes) -> list[int]:
+    """Validate distinct bit-plane indices in [0, 7]; return them as ints."""
     planes = [_as_int(p, "plane index") for p in planes]
     for p in planes:
         if not 0 <= p <= 7:
             raise ValueError(f"plane index must be in [0, 7], got {p}")
+    if len(set(planes)) != len(planes):
+        raise ValueError(f"duplicate plane index in {planes}")
+    return planes
+
+
+def serialize_key(sched: ScrambleSchedule, planes: list[int]) -> str:
+    """Render a schedule plus its target bit planes as key text."""
+    planes = check_planes(planes)
     lines = [f"N {sched.side}", f"M {len(sched.stages)}"]
     for stage in sched.stages:
         lines.append(f"STAGE {stage.spec.family.value} {stage.spec.i} {stage.t}")
@@ -122,46 +140,35 @@ def _key_int(token: str, what: str, lineno: int) -> int:
         raise KeyFormatError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
 
 
-class _Lines:
-    """Iterator over meaningful key-file lines that remembers line numbers."""
-
-    def __init__(self, text: str):
-        self.entries = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                self.entries.append((lineno, stripped.split()))
-        self.pos = 0
-
-    def next(self, expected: str) -> tuple[int, list[str]]:
-        if self.pos >= len(self.entries):
-            raise KeyFormatError(f"unexpected end of key: expected {expected} line")
-        entry = self.entries[self.pos]
-        self.pos += 1
-        if entry[1][0] != expected:
-            raise KeyFormatError(
-                f"line {entry[0]}: expected {expected} line, got {entry[1][0]!r}"
-            )
-        return entry
-
-    def done(self) -> None:
-        if self.pos < len(self.entries):
-            lineno = self.entries[self.pos][0]
-            raise KeyFormatError(f"line {lineno}: trailing content after PLANES line")
+def _on_line(lineno: int, make, *args):
+    """``make(*args)``; a ValueError becomes a KeyFormatError naming the line."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise KeyFormatError(f"line {lineno}: {exc}") from None
 
 
 def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
     """Parse key text back into (schedule, planes). Inverse of serialize_key."""
-    lines = _Lines(text)
+    lines = ((n, raw.split("#", 1)[0].split()) for n, raw in enumerate(text.splitlines(), 1))
+    entries = ((n, toks) for n, toks in lines if toks)
 
-    lineno, toks = lines.next("N")
+    def take(expected: str) -> tuple[int, list[str]]:
+        lineno, toks = next(entries, (None, None))
+        if lineno is None:
+            raise KeyFormatError(f"unexpected end of key: expected {expected} line")
+        if toks[0] != expected:
+            raise KeyFormatError(f"line {lineno}: expected {expected} line, got {toks[0]!r}")
+        return lineno, toks
+
+    lineno, toks = take("N")
     if len(toks) != 2:
         raise KeyFormatError(f"line {lineno}: N line needs exactly one value")
     side = _key_int(toks[1], "side", lineno)
     if side < 1:
         raise KeyFormatError(f"line {lineno}: side must be >= 1, got {side}")
 
-    lineno, toks = lines.next("M")
+    lineno, toks = take("M")
     if len(toks) != 2:
         raise KeyFormatError(f"line {lineno}: M line needs exactly one value")
     m = _key_int(toks[1], "stage count", lineno)
@@ -170,7 +177,7 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
 
     stages = []
     for _ in range(m):
-        lineno, toks = lines.next("STAGE")
+        lineno, toks = take("STAGE")
         if len(toks) != 4:
             raise KeyFormatError(f"line {lineno}: STAGE line needs <family> <i> <t>")
         family = _FAMILY_TAGS.get(toks[1])
@@ -178,54 +185,50 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
             raise KeyFormatError(f"line {lineno}: unknown family tag {toks[1]!r}")
         i = _key_int(toks[2], "parameter i", lineno)
         t = _key_int(toks[3], "iteration count t", lineno)
-        if family is not Family.CLASSIC and i < 1:
-            raise KeyFormatError(f"line {lineno}: parameter i must be >= 1, got {i}")
-        if t < 0:
-            raise KeyFormatError(f"line {lineno}: iteration count t must be >= 0, got {t}")
-        stages.append(Stage(TransformSpec(family, i if i >= 1 else 1), t))
+        stages.append(_on_line(lineno, lambda: Stage(TransformSpec(family, i), t)))
 
-    lineno, toks = lines.next("ORDER")
-    order = [_key_int(tok, "order entry", lineno) for tok in toks[1:]]
-    if sorted(order) != list(range(m)):
-        raise KeyFormatError(
-            f"line {lineno}: ORDER must be a permutation of 0..{m - 1}, got {toks[1:]}"
-        )
+    lineno, toks = take("ORDER")
+    order = tuple(_key_int(tok, "order entry", lineno) for tok in toks[1:])
+    sched = _on_line(lineno, ScrambleSchedule, side, tuple(stages), order)
 
-    lineno, toks = lines.next("PLANES")
+    lineno, toks = take("PLANES")
     planes = [_key_int(tok, "plane index", lineno) for tok in toks[1:]]
-    for p in planes:
-        if not 0 <= p <= 7:
-            raise KeyFormatError(f"line {lineno}: plane index must be in [0, 7], got {p}")
-    if len(set(planes)) != len(planes):
-        raise KeyFormatError(f"line {lineno}: duplicate plane index in {planes}")
+    planes = _on_line(lineno, check_planes, planes)
 
-    lines.done()
-    return ScrambleSchedule(side, tuple(stages), tuple(order)), planes
+    lineno, _ = next(entries, (None, None))
+    if lineno is not None:
+        raise KeyFormatError(f"line {lineno}: trailing content after PLANES line")
+    return sched, planes
 
 
 def random_schedule(side: int, m: int, rng: random.Random) -> ScrambleSchedule:
-    """Draw a valid schedule: random families, i in [1, 20], 0 < t < period."""
+    """Draw a valid schedule: random families, i in [1, 20], 0 < t < period.
+
+    A draw that composes to the identity would scramble nothing, so it is
+    drawn again, except at side 1, where every matrix is the identity.
+    """
     side = _as_int(side, "side")
     m = _as_int(m, "stage count")
-    if side < 1:
-        raise ValueError(f"side must be >= 1, got {side}")
-    if m < 1:
-        raise ValueError(f"stage count must be >= 1, got {m}")
-    stages = []
-    for _ in range(m):
-        family = rng.choice(list(Family))
-        spec = TransformSpec(family, rng.randint(1, 20))
-        p = period(spec, side)
-        stages.append(Stage(spec, rng.randint(1, max(1, p - 1))))
-    order = list(range(m))
-    rng.shuffle(order)
-    return ScrambleSchedule(side, tuple(stages), tuple(order))
+    while True:
+        stages = []
+        for _ in range(m):
+            family = rng.choice(list(Family))
+            spec = TransformSpec(family, rng.randint(1, 20))
+            p = period(spec, side)
+            stages.append(Stage(spec, rng.randint(1, max(1, p - 1))))
+        order = list(range(m))
+        rng.shuffle(order)
+        sched = ScrambleSchedule(side, tuple(stages), tuple(order))
+        if side == 1 or composite_matrix(sched) != _IDENT:
+            return sched
 
 
 __all__ = [
     "KeyFormatError",
     "Stage",
     "ScrambleSchedule",
+    "check_planes",
+    "composite_matrix",
     "schedule_scramble",
     "schedule_unscramble",
     "serialize_key",

@@ -4,6 +4,8 @@ The orbit-period oracle iterates the raw position permutation and never
 touches the package's matrix-order computation, so the two routes check
 each other. The 3x3 orbit tables are frozen reference data; every entry was
 verified by hand against the scatter convention before being trusted here.
+The stage-by-stage references below rebuild every permutation with their own
+matrix arithmetic and scatter; nothing in this file imports catstego.
 """
 
 import numpy as np
@@ -77,13 +79,64 @@ def mat_pow(m, t, n):
     return acc
 
 
+def stage_matrix(spec):
+    """Position matrix of one transform, from the family table in the README."""
+    i = spec.i
+    return {
+        "CLASSIC": (2, 1, 1, 1),
+        "ROWFIRST": (i, i + 1, 1, 1),
+        "COLFIRST": (i + 1, i, 1, 1),
+    }[spec.family.value]
+
+
 def composite_matrix(sched, n):
     """Overall position matrix of a schedule, built with local arithmetic."""
-    from catstego.arnold import matrix_for
-
     acc = (1 % n, 0, 0, 1 % n)
     for j in sched.order:
         stage = sched.stages[j]
-        m = matrix_for(stage.spec)
-        acc = mat_mul(mat_pow((m.a, m.b, m.c, m.d), stage.t, n), acc, n)
+        acc = mat_mul(mat_pow(stage_matrix(stage.spec), stage.t, n), acc, n)
     return acc
+
+
+def scatter(grid, m):
+    """Move the value at row x, column y to ((a*x + b*y) % n, (c*x + d*y) % n)."""
+    grid = np.asarray(grid)
+    n = grid.shape[0]
+    a, b, c, d = m
+    x, y = np.indices((n, n))
+    out = np.empty_like(grid)
+    out[(a * x + b * y) % n, (c * x + d * y) % n] = grid
+    return out
+
+
+def reference_scramble(grid, sched):
+    """Stage by stage, in application order: one scatter with M^t per stage."""
+    for j in sched.order:
+        stage = sched.stages[j]
+        grid = scatter(grid, mat_pow(stage_matrix(stage.spec), stage.t, sched.side))
+    return grid
+
+
+def reference_unscramble(grid, sched):
+    """Stage by stage, in reverse order: one scatter with (M^-1)^t per stage."""
+    for j in reversed(sched.order):
+        stage = sched.stages[j]
+        a, b, c, d = stage_matrix(stage.spec)
+        det = a * d - b * c
+        inverse = (det * d, -det * b, -det * c, det * a)
+        grid = scatter(grid, mat_pow(inverse, stage.t, sched.side))
+    return grid
+
+
+def reference_embed(cover, messages, sched, planes):
+    """Write each scrambled message into its plane, one plane at a time."""
+    stego = np.asarray(cover, dtype=np.uint8).copy()
+    for msg, p in zip(messages, planes):
+        bits = reference_scramble(np.asarray(msg, dtype=np.uint8), sched)
+        stego = (stego & np.uint8(0xFF ^ (1 << p))) | (bits << np.uint8(p))
+    return stego
+
+
+def reference_extract(stego, sched, planes):
+    """Read each plane and unscramble it on its own."""
+    return [reference_unscramble((stego >> np.uint8(p)) & np.uint8(1), sched) for p in planes]

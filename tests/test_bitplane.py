@@ -16,6 +16,7 @@ from catstego.bitplane import (
     unpack_payload,
 )
 from catstego.schedule import ScrambleSchedule, Stage
+from oracles import reference_embed, reference_extract
 
 SCHED8 = ScrambleSchedule(
     8,
@@ -123,6 +124,27 @@ def test_embed_three_planes_and_extract():
     out = extract(stego, SCHED8, [0, 1, 2])
     for msg, back in zip(msgs, out):
         assert np.array_equal(msg, back)
+
+
+@given(st.integers(1, 24), st.data())
+@settings(deadline=None)
+def test_embed_extract_match_plane_by_plane_reference(n, data):
+    m = data.draw(st.integers(1, 4))
+    stages = data.draw(st.lists(st.builds(
+        Stage,
+        st.builds(TransformSpec, st.sampled_from(list(Family)), st.integers(1, 30)),
+        st.integers(0, 10**6),
+    ), min_size=m, max_size=m))
+    sched = ScrambleSchedule(n, tuple(stages), tuple(data.draw(st.permutations(range(m)))))
+    planes = data.draw(st.lists(st.integers(0, 7), max_size=8, unique=True))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    cover = _gray(n, seed)
+    msgs = [_bits(n, seed + 1 + k) for k in range(len(planes))]
+    stego = embed(cover, msgs, sched, planes)
+    assert np.array_equal(stego, reference_embed(cover, msgs, sched, planes))
+    noisy = _gray(n, seed + 99)
+    for got, want in zip(extract(noisy, sched, planes), reference_extract(noisy, sched, planes)):
+        assert np.array_equal(got, want)
 
 
 def test_embed_validation():
@@ -245,3 +267,16 @@ def test_as_gray_accepts_int_range_and_rejects_overflow():
 def test_as_binary_rejects_non_bits():
     with pytest.raises(ValueError):
         as_binary(np.array([[0, 2], [1, 0]]))
+
+
+@pytest.mark.parametrize("dtype, bad", [
+    (np.int8, 2), (np.int8, -1), (np.int64, 2), (np.int64, -1), (np.uint8, 2), (np.uint8, 255),
+])
+def test_as_binary_rejects_out_of_range_values(dtype, bad):
+    with pytest.raises(ValueError, match="values must be 0 or 1"):
+        as_binary(np.array([[0, bad], [1, 0]], dtype=dtype))
+
+
+def test_as_binary_rejects_floats():
+    with pytest.raises(ValueError, match="must be integer-valued, got float64"):
+        as_binary(np.array([[0.0, 1.0], [1.0, 0.0]]))

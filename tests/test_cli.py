@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -210,3 +213,41 @@ def test_missing_file_fails_cleanly(tmp_path, capsys):
     rc = main(["metrics", str(tmp_path / "nope.pgm"), str(tmp_path / "nope.pgm")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_outputs_get_umask_default_permissions(workspace, umask_027):
+    ws = workspace
+    key, cover = str(ws / "key.txt"), str(ws / "cover.pgm")
+    msgs = [str(ws / "msg0.pbm"), str(ws / "msg1.pbm")]
+    (ws / "secret.bin").write_bytes(b"payload")
+    secrets = [str(ws / "secret.bin")] * 2
+    runs = {
+        "stego.pgm": ["embed", cover, key, str(ws / "stego.pgm"), *msgs],
+        "out0.pbm": ["extract", str(ws / "stego.pgm"), key, str(ws / "out0.pbm"),
+                     str(ws / "out1.pbm")],
+        "packed.pgm": ["embed", "--pack", cover, key, str(ws / "packed.pgm"), *secrets],
+        "payload0.bin": ["extract", "--unpack", str(ws / "packed.pgm"), key,
+                         str(ws / "payload0.bin"), str(ws / "payload1.bin")],
+        "scrambled.pgm": ["scramble", cover, key, str(ws / "scrambled.pgm")],
+        "sweep.csv": ["sweep", "classic", "1", "2", "8", "--out", str(ws / "sweep.csv")],
+    }
+    for name, argv in runs.items():
+        assert main(argv) == 0
+        assert _mode(ws / name) == 0o640, name
+
+
+def test_key_file_stays_private(tmp_path, umask_027):
+    key = tmp_path / "k.txt"
+    assert main(["keygen", "16", "2", str(key), "--seed", "3"]) == 0
+    assert _mode(key) == 0o600

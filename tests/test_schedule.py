@@ -10,13 +10,15 @@ from catstego.schedule import (
     KeyFormatError,
     ScrambleSchedule,
     Stage,
+    composite_matrix,
     parse_key,
     random_schedule,
     schedule_scramble,
     schedule_unscramble,
     serialize_key,
 )
-from oracles import AI, BI, CI, I3
+import oracles
+from oracles import AI, BI, CI, I3, reference_scramble, reference_unscramble
 
 CLASSIC = TransformSpec(Family.CLASSIC)
 ROW3 = TransformSpec(Family.ROWFIRST, 3)
@@ -76,6 +78,19 @@ def test_schedule_round_trip(sched, seed):
     assert np.array_equal(
         schedule_unscramble(schedule_scramble(msg, sched), sched), msg
     )
+
+
+@given(schedules(max_t=10**9), st.integers(0, 2**32 - 1))
+@settings(deadline=None)
+def test_schedule_matches_stage_by_stage_reference(sched, seed):
+    grid = np.random.default_rng(seed).integers(0, 256, (sched.side,) * 2, dtype=np.uint8)
+    assert np.array_equal(schedule_scramble(grid, sched), reference_scramble(grid, sched))
+    assert np.array_equal(schedule_unscramble(grid, sched), reference_unscramble(grid, sched))
+
+
+@given(schedules(max_t=10**9))
+def test_composite_matrix_matches_oracle(sched):
+    assert composite_matrix(sched) == oracles.composite_matrix(sched, sched.side)
 
 
 def test_order_changes_output():
@@ -239,6 +254,22 @@ def test_random_schedule_valid_and_nontrivial():
         assert np.array_equal(
             schedule_unscramble(schedule_scramble(msg, sched), sched), msg
         )
+
+
+@pytest.mark.parametrize("seed", [2424, 2503, 2521])
+def test_random_schedule_redraws_identity_composites(seed):
+    # the first draw for each of these seeds composes to the identity at
+    # N = 128 (e.g. CLASSIC t = 57 + 64 + 71 = 192, its period)
+    r = random.Random(seed)
+    sched = random_schedule(128, r.randint(1, 4), r)
+    assert composite_matrix(sched) != (1, 0, 0, 1)
+    msg = _msg(128, seed)
+    assert not np.array_equal(schedule_scramble(msg, sched), msg)
+
+
+def test_random_schedule_terminates_at_side_1():
+    sched = random_schedule(1, 3, random.Random(0))
+    assert composite_matrix(sched) == (0, 0, 0, 0)
 
 
 def test_random_schedule_rejects_bad_args():
