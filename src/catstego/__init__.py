@@ -3,8 +3,8 @@
 from .arnold import (
     ArnoldMatrix,
     Family,
+    MAX_SIDE,
     TransformSpec,
-    apply_once,
     grid_side,
     matrix_for,
     matrix_period,

@@ -3,15 +3,23 @@
 The transform family is a set of integer 2x2 matrices with |det| = 1 applied
 to pixel coordinates mod N. Because the determinant is a unit, every member
 is a bijection of the N*N positions and therefore has a finite period.
+
+A permutation is applied by factoring its matrix into row steps, which move
+and rotate each row as one contiguous copy, and tiled transposes; no
+N*N-sized index is built. Every side is an integer in [1, MAX_SIDE],
+checked by ``check_side``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _as_int(value, what: str) -> int:
@@ -86,6 +94,21 @@ def grid_side(grid: np.ndarray) -> int:
     return a.shape[0]
 
 
+# a period is an O(period) loop and a grid holds side**2 cells, so both stay
+# bounded; at side 131071 the slowest family period (i <= 20) is 262144 steps
+MAX_SIDE = 1 << 17
+
+
+def check_side(n) -> int:
+    """Validate a grid side, an integer in [1, MAX_SIDE], and return it."""
+    n = _as_int(n, "side")
+    if n < 1:
+        raise ValueError(f"side must be >= 1, got {n}")
+    if n > MAX_SIDE:
+        raise ValueError(f"side {n} exceeds the limit of {MAX_SIDE}")
+    return n
+
+
 # -- modular 2x2 arithmetic (entries kept reduced mod n) ----------------------
 
 _IDENT = (1, 0, 0, 1)
@@ -124,55 +147,99 @@ def _stage_power(spec: TransformSpec, t: int, n: int) -> tuple[int, int, int, in
     return _pow((m.a, m.b, m.c, m.d), t, n)
 
 
-def _destinations(m: tuple, n: int) -> np.ndarray:
-    """Flat row-major index that the value at (x, y) moves to: the cell
-    ((a*x + b*y) % n, (c*x + d*y) % n), with x the row and y the column, both
-    0-based. The golden orbit fixtures pin this convention.
+# -- the permutation as shears -------------------------------------------------
+#
+# A lower-triangular step [u 0; k 1] (u a unit) moves row x to row u*x and
+# rotates it by k*x, so it is one contiguous copy per row. Every matrix with
+# det +-1 mod n is such a step, a transpose T, another step, and, when b is
+# not a unit, one more T and step. No N*N-sized index is ever built.
 
-    a*x, b*y, c*x and d*y are reduced as length-n vectors; a sum s of two
-    residues is below 2n, and in unsigned arithmetic min(s, s - n) = s mod n.
-    """
-    dt = np.uint32 if n <= 1 << 16 else np.uint64  # n*n must fit the index type
-    r = np.arange(n, dtype=dt)
-    ax, by, cx, dy = (r * dt(k) % dt(n) for k in _reduce(m, n))
-
-    def wrap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        s = u[:, None] + v
-        return np.minimum(s, s - dt(n), out=s)
-
-    flat = wrap(ax, by)
-    flat *= dt(n)
-    flat += wrap(cx, dy)
-    return flat.ravel()
+_TILE = 256  # a 256 x 256 uint8 tile stays in cache while it is transposed
 
 
-def scatter(grid: np.ndarray, m: tuple) -> np.ndarray:
-    """Move every cell of a square grid to its destination under matrix m."""
-    grid = np.asarray(grid)
-    out = np.empty(grid.shape, dtype=grid.dtype)
-    out.ravel()[_destinations(m, grid.shape[0])] = grid.ravel()
+def _det(m: tuple, n: int) -> int:
+    """det m mod n, which must be 1 or n - 1 for m to permute the grid."""
+    det = (m[0] * m[3] - m[1] * m[2]) % n
+    if det not in (1 % n, n - 1):
+        raise ValueError(f"matrix {tuple(m)} must have det +-1 mod {n}, got {det}")
+    return det
+
+
+def _shears(m: tuple, n: int) -> list[tuple[int, int] | None]:
+    """Factor the scatter by m mod n into steps, in application order: a pair
+    (u, k) is the step [u 0; k 1] and None is a transpose. Identity steps are
+    dropped, adjacent steps compose and adjacent transposes cancel."""
+    a, b, c, d = _reduce(m, n)
+    det = _det(m, n)
+    steps: list[tuple[int, int] | None] = []
+    if math.gcd(b, n) != 1:
+        # (a, b) is a unimodular row, so some a + k*b is a unit (Z/n has
+        # stable rank 1); m = m' T L(-k), and m' = m L(k) T has it as its b
+        k = next(k for k in itertools.count() if math.gcd(a + k * b, n) == 1)
+        steps += [(1, -k % n), None]
+        a, b, c, d, det = b, (a + k * b) % n, d, (c + k * d) % n, -det
+    # b is a unit: [a b; c d] = [b 0; d 1] T [-det/b 0; a/b 1]
+    inv = pow(b, -1, n)
+    steps += [(-det * inv % n, a * inv % n), None, (b, d)]
+    kept: list[tuple[int, int] | None] = []
+    for step in steps:
+        if kept and (step is None) == (kept[-1] is None):
+            top = kept.pop()
+            if step is None:
+                continue
+            step = (step[0] * top[0] % n, (step[1] * top[0] + top[1]) % n)
+        if step != (1 % n, 0):
+            kept.append(step)
+    return kept
+
+
+def _lower(g: np.ndarray, u: int, k: int) -> np.ndarray:
+    """Scatter by [u 0; k 1]: row x of the result is row x/u of g rotated
+    right by k*x/u, one window of [g g] per row."""
+    n = g.shape[0]
+    src = np.arange(n) * pow(u, -1, n) % n
+    windows = sliding_window_view(np.concatenate((g, g), axis=1), n, axis=1)
+    return windows[src, -k * src % n]
+
+
+def _transpose(g: np.ndarray) -> np.ndarray:
+    """g.T as a fresh C-ordered array, copied tile by tile."""
+    n = g.shape[0]
+    out = np.empty((n, n), dtype=g.dtype)
+    for i in range(0, n, _TILE):
+        for j in range(0, n, _TILE):
+            out[i : i + _TILE, j : j + _TILE] = g[j : j + _TILE, i : i + _TILE].T
     return out
 
 
-def gather(grid: np.ndarray, m: tuple) -> np.ndarray:
-    """Inverse of ``scatter(grid, m)``: read every cell back from its destination."""
+def scatter(grid: np.ndarray, m: tuple) -> np.ndarray:
+    """Move every cell of a square grid to its destination under matrix m:
+    the value at (x, y) goes to ((a*x + b*y) % n, (c*x + d*y) % n), with x the
+    row and y the column, both 0-based. The golden orbit fixtures pin this
+    convention. m must have det +-1 mod n; the result is a fresh C-ordered
+    array and the grid is left as it is."""
     grid = np.asarray(grid)
-    return np.take(grid, _destinations(m, grid.shape[0])).reshape(grid.shape)
+    g = grid
+    for step in _shears(m, grid_side(grid)):
+        g = _transpose(g) if step is None else _lower(g, *step)
+    return grid.copy(order="C") if g is grid else g
+
+
+def gather(grid: np.ndarray, m: tuple) -> np.ndarray:
+    """Inverse of ``scatter(grid, m)``: a scatter by m^-1 = det [d -b; -c a]."""
+    a, b, c, d = m
+    det = _det(m, grid_side(grid))
+    return scatter(grid, (det * d, -det * b, -det * c, det * a))
 
 
 # -- public operations --------------------------------------------------------
-
-
-def apply_once(grid: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Apply one iteration of the transform to every cell of ``grid``."""
-    return scatter(grid, _stage_power(spec, 1, grid_side(grid)))
 
 
 def scramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
     """Apply the transform ``t`` times (t = 0 is the identity).
 
     Implemented as a single scatter with the matrix power M^t mod N, which is
-    exactly the t-fold composition of apply_once.
+    exactly the t-fold composition of the one-step scatter.
     """
     return scatter(grid, _stage_power(spec, t, grid_side(grid)))
 
@@ -180,16 +247,15 @@ def scramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
 def unscramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
     """Exact inverse of ``scramble(grid, spec, t)``.
 
-    Gathers through the same forward index that scramble scatters through,
-    so neither the inverse matrix nor the period is ever computed.
+    Gathers through M^t, which scatters by its inverse, so the period is
+    never computed.
     """
     return gather(grid, _stage_power(spec, t, grid_side(grid)))
 
 
 def matrix_period(m: ArnoldMatrix, n: int) -> int:
     """Smallest p >= 1 with M^p = identity mod n, by iterated multiplication."""
-    if n < 1:
-        raise ValueError(f"side must be >= 1, got {n}")
+    n = check_side(n)
     start = _reduce((m.a, m.b, m.c, m.d), n)
     ident = _reduce(_IDENT, n)
     cur = start

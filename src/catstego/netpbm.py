@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from .arnold import check_side
 from .bitplane import as_binary, as_gray
 
 _WS = b" \t\n\r\x0b\x0c"
@@ -89,6 +90,10 @@ def _read(path, magic: bytes, n_tokens: int) -> tuple[bytes, int, int, list[byte
         raise NetpbmError(f"{path}: image dimensions must be positive, got {w}x{h}")
     if w != h:
         raise NetpbmError(f"{path}: image must be square, got {w}x{h}")
+    try:
+        check_side(w)
+    except ValueError as exc:
+        raise NetpbmError(f"{path}: {exc}") from None
     return data, offset + 2, w, toks[2:]
 
 

@@ -28,6 +28,7 @@ from .arnold import (
     _mul,
     _reduce,
     _stage_power,
+    check_side,
     gather,
     grid_side,
     period,
@@ -62,9 +63,7 @@ class ScrambleSchedule:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        side = _as_int(self.side, "side")
-        if side < 1:
-            raise ValueError(f"side must be >= 1, got {side}")
+        side = check_side(self.side)
         stages = tuple(self.stages)
         if not stages:
             raise ValueError("schedule needs at least one stage")
@@ -164,9 +163,7 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
     lineno, toks = take("N")
     if len(toks) != 2:
         raise KeyFormatError(f"line {lineno}: N line needs exactly one value")
-    side = _key_int(toks[1], "side", lineno)
-    if side < 1:
-        raise KeyFormatError(f"line {lineno}: side must be >= 1, got {side}")
+    side = _on_line(lineno, check_side, _key_int(toks[1], "side", lineno))
 
     lineno, toks = take("M")
     if len(toks) != 2:

@@ -109,6 +109,22 @@ def scatter(grid, m):
     return out
 
 
+def gather(grid, m):
+    """Read the value at row x, column y back from ((a*x + b*y) % n, (c*x + d*y) % n)."""
+    grid = np.asarray(grid)
+    n = grid.shape[0]
+    a, b, c, d = m
+    x, y = np.indices((n, n))
+    return grid[(a * x + b * y) % n, (c * x + d * y) % n]
+
+
+def apply_once(grid, spec, t=1):
+    """``t`` iterations of one transform, each a scatter by the stage matrix itself."""
+    for _ in range(t):
+        grid = scatter(grid, stage_matrix(spec))
+    return grid
+
+
 def reference_scramble(grid, sched):
     """Stage by stage, in application order: one scatter with M^t per stage."""
     for j in sched.order:

@@ -1,5 +1,6 @@
 import os
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from catstego.schedule import (
     schedule_scramble,
     serialize_key,
 )
-from catstego.arnold import Family, TransformSpec, period
+from catstego.arnold import MAX_SIDE, Family, TransformSpec, period
 from catstego.synth import natural_binary, natural_gray
 
 
@@ -134,6 +135,21 @@ def test_period_command(capsys):
     col = capsys.readouterr().out.strip()
     main(["period", "classic", "5"])
     assert col == capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    ["period", "classic", "1000000007"],
+    ["period", "rowfirst", str(MAX_SIDE + 1), "--i", "20"],
+    ["sweep", "colfirst", "1", "3", str(MAX_SIDE + 1)],
+    ["keygen", str(MAX_SIDE + 1), "2", "key.txt", "--seed", "1"],
+])
+def test_side_above_limit_fails_fast(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeds the limit of {MAX_SIDE}" in capsys.readouterr().err
+    assert not (tmp_path / "key.txt").exists()
 
 
 def test_sweep_stdout_and_file(tmp_path, capsys):

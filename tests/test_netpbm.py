@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catstego.arnold import MAX_SIDE
 from catstego.netpbm import (
     NetpbmError,
     atomic_write_bytes,
@@ -135,6 +136,16 @@ def test_zero_dimension_rejected(tmp_path):
     path.write_bytes(b"P5\n0 0\n255\n")
     with pytest.raises(NetpbmError, match="positive"):
         read_gray(path)
+
+
+def test_side_above_limit_rejected_before_the_raster(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(f"P5\n{MAX_SIDE + 1} {MAX_SIDE + 1}\n255\n".encode())
+    with pytest.raises(NetpbmError, match="exceeds the limit"):
+        read_gray(path)
+    path.write_bytes(f"P4\n{MAX_SIDE + 1} {MAX_SIDE + 1}\n".encode())
+    with pytest.raises(NetpbmError, match="exceeds the limit"):
+        read_binary(path)
 
 
 def test_read_auto_dispatch(tmp_path):

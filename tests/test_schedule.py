@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catstego.arnold import Family, TransformSpec, period
+from catstego.arnold import MAX_SIDE, Family, TransformSpec, period
 from catstego.schedule import (
     KeyFormatError,
     ScrambleSchedule,
@@ -225,6 +225,16 @@ def test_parse_errors(text, fragment):
     with pytest.raises(KeyFormatError) as err:
         parse_key(text)
     assert fragment in str(err.value)
+
+
+def test_key_side_limit():
+    key = "N {}\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n"
+    sched, _ = parse_key(key.format(MAX_SIDE))
+    assert sched.side == MAX_SIDE
+    with pytest.raises(KeyFormatError, match=f"line 1: side {MAX_SIDE + 1} exceeds the limit"):
+        parse_key(key.format(MAX_SIDE + 1))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        ScrambleSchedule(MAX_SIDE + 1, (Stage(CLASSIC, 1),), (0,))
 
 
 def test_parse_errors_name_line_numbers():
