@@ -1,7 +1,6 @@
 """Keyed multi-stage cat-map scrambling + bit-plane LSB steganography."""
 
 from .arnold import (
-    ArnoldMatrix,
     Family,
     MAX_SIDE,
     TransformSpec,
@@ -19,7 +18,6 @@ from .bitplane import (
     extract,
     get_plane,
     pack_payload,
-    set_plane,
     unpack_payload,
 )
 from .metrics import (

@@ -3,6 +3,7 @@
 The transform family is a set of integer 2x2 matrices with |det| = 1 applied
 to pixel coordinates mod N. Because the determinant is a unit, every member
 is a bijection of the N*N positions and therefore has a finite period.
+A matrix is a plain tuple (a, b, c, d), read as [a b; c d].
 
 A permutation is applied by factoring its matrix into row steps, which move
 and rotate each row as one contiguous copy, and tiled transposes; no
@@ -56,34 +57,16 @@ class TransformSpec:
         object.__setattr__(self, "i", i)
 
 
-@dataclass(frozen=True)
-class ArnoldMatrix:
-    """Integer matrix [a b; c d] applied as x' = a*x + b*y, y' = c*x + d*y (mod N)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if abs(self.a * self.d - self.b * self.c) != 1:
-            raise ValueError(
-                f"matrix [{self.a} {self.b}; {self.c} {self.d}] must have |det| = 1"
-            )
-
-
-def matrix_for(spec: TransformSpec) -> ArnoldMatrix:
-    """Derive the 2x2 matrix for a family member.
+def matrix_for(spec: TransformSpec) -> tuple[int, int, int, int]:
+    """The 2x2 matrix (a, b, c, d) = [a b; c d] of a family member.
 
     CLASSIC -> [2 1; 1 1], ROWFIRST(i) -> [i i+1; 1 1], COLFIRST(i) -> [i+1 i; 1 1].
     """
     if spec.family is Family.CLASSIC:
-        return ArnoldMatrix(2, 1, 1, 1)
+        return (2, 1, 1, 1)
     if spec.family is Family.ROWFIRST:
-        return ArnoldMatrix(spec.i, spec.i + 1, 1, 1)
-    return ArnoldMatrix(spec.i + 1, spec.i, 1, 1)
+        return (spec.i, spec.i + 1, 1, 1)
+    return (spec.i + 1, spec.i, 1, 1)
 
 
 def grid_side(grid: np.ndarray) -> int:
@@ -143,8 +126,7 @@ def _stage_power(spec: TransformSpec, t: int, n: int) -> tuple[int, int, int, in
     """M^t mod n for one transform; t must be >= 0."""
     if t < 0:
         raise ValueError(f"iteration count must be >= 0, got {t}")
-    m = matrix_for(spec)
-    return _pow((m.a, m.b, m.c, m.d), t, n)
+    return _pow(matrix_for(spec), t, n)
 
 
 # -- the permutation as shears -------------------------------------------------
@@ -253,10 +235,12 @@ def unscramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
     return gather(grid, _stage_power(spec, t, grid_side(grid)))
 
 
-def matrix_period(m: ArnoldMatrix, n: int) -> int:
-    """Smallest p >= 1 with M^p = identity mod n, by iterated multiplication."""
+def matrix_period(m: tuple, n: int) -> int:
+    """Smallest p >= 1 with M^p = identity mod n, by iterated multiplication.
+    m must have det +-1 mod n; any other matrix never returns to the identity."""
     n = check_side(n)
-    start = _reduce((m.a, m.b, m.c, m.d), n)
+    _det(m, n)
+    start = _reduce(m, n)
     ident = _reduce(_IDENT, n)
     cur = start
     p = 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arnold import _as_int, grid_side
+from .arnold import _as_int, check_side, grid_side
 from .schedule import ScrambleSchedule, check_planes, schedule_scramble, schedule_unscramble
 
 
@@ -34,7 +34,7 @@ def as_binary(img: np.ndarray) -> np.ndarray:
         raise ValueError(f"binary image must be integer-valued, got {a.dtype}")
     if a.max() > 1 or a.min() < 0:
         raise ValueError("binary image values must be 0 or 1")
-    return a.astype(np.uint8)
+    return a.astype(np.uint8, copy=False)
 
 
 def get_plane(img: np.ndarray, p: int) -> np.ndarray:
@@ -42,17 +42,6 @@ def get_plane(img: np.ndarray, p: int) -> np.ndarray:
     img = as_gray(img)
     (p,) = check_planes([p])
     return (img >> p) & np.uint8(1)
-
-
-def set_plane(img: np.ndarray, p: int, bits: np.ndarray) -> np.ndarray:
-    """Replace bit p of every pixel with ``bits``; all other bits untouched."""
-    img = as_gray(img)
-    (p,) = check_planes([p])
-    bits = as_binary(bits)
-    if bits.shape != img.shape:
-        raise ValueError(f"plane side {bits.shape[0]} does not match image side {img.shape[0]}")
-    keep = img & np.uint8(0xFF ^ (1 << p))
-    return keep | (bits << np.uint8(p))
 
 
 def _plane_mask(planes: list[int]) -> np.uint8:
@@ -111,9 +100,7 @@ def capacity_bytes(side: int) -> int:
 def pack_payload(data: bytes, side: int) -> np.ndarray:
     """Lay bytes out as a binary image: 32-bit big-endian length header, then
     payload bytes MSB-first, zero padding, all row-major."""
-    side = _as_int(side, "side")
-    if side < 1:
-        raise ValueError(f"side must be >= 1, got {side}")
+    side = check_side(side)
     data = bytes(data)
     if 32 + 8 * len(data) > side * side:
         raise ValueError(

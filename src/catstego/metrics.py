@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arnold import grid_side
+from .bitplane import as_gray
 
 PEAK = 255
 
@@ -29,10 +30,10 @@ def _db(m: float) -> float:
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared intensity difference."""
-    a, b = _pair(a, b)
+    a, b = map(as_gray, _pair(a, b))
     # the integer sum is exact, so one rounding (the division) gives the mean
-    diff = np.subtract(a, b, dtype=np.int64, casting="unsafe").ravel()
-    return int(np.dot(diff, diff)) / diff.size
+    sq = np.square(np.subtract(a, b, dtype=np.int16), dtype=np.int32)
+    return int(sq.sum(dtype=np.int64)) / sq.size
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -46,8 +47,8 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 def bit_preservation_ratio(cover: np.ndarray, stego: np.ndarray) -> float:
     """Fraction of all 8 * N * N cover bits left unchanged."""
-    cover, stego = _pair(cover, stego)
-    changed = np.bitwise_count(cover.astype(np.uint8) ^ stego.astype(np.uint8))
+    cover, stego = map(as_gray, _pair(cover, stego))
+    changed = np.bitwise_count(cover ^ stego)
     return 1.0 - int(changed.sum(dtype=np.int64)) / (8 * changed.size)
 
 

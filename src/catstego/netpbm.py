@@ -98,12 +98,11 @@ def _read(path, magic: bytes, n_tokens: int) -> tuple[bytes, int, int, list[byte
 
 
 def _raster(data: bytes, offset: int, size: int, path) -> np.ndarray:
-    raster = data[offset : offset + size]
-    if len(raster) < size:
+    if len(data) - offset < size:
         raise NetpbmError(
-            f"{path}: truncated raster, expected {size} bytes, got {len(raster)}"
+            f"{path}: truncated raster, expected {size} bytes, got {len(data) - offset}"
         )
-    return np.frombuffer(raster, dtype=np.uint8)
+    return np.frombuffer(data, np.uint8, count=size, offset=offset)
 
 
 def read_gray(path) -> np.ndarray:
@@ -119,7 +118,8 @@ def write_gray(path, img: np.ndarray) -> None:
     """Write a square uint8 image as binary PGM (P5)."""
     img = as_gray(img)
     n = img.shape[0]
-    atomic_write_bytes(path, f"P5\n{n} {n}\n255\n".encode("ascii") + img.tobytes())
+    header = f"P5\n{n} {n}\n255\n".encode("ascii")
+    atomic_write_bytes(path, header + np.ascontiguousarray(img).data)
 
 
 def read_binary(path) -> np.ndarray:

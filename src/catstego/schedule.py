@@ -107,9 +107,6 @@ def schedule_unscramble(scrambled: np.ndarray, sched: ScrambleSchedule) -> np.nd
 
 # -- key file ------------------------------------------------------------------
 
-_FAMILY_TAGS = {f.value: f for f in Family}
-
-
 def check_planes(planes) -> list[int]:
     """Validate distinct bit-plane indices in [0, 7]; return them as ints."""
     planes = [_as_int(p, "plane index") for p in planes]
@@ -177,7 +174,7 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
         lineno, toks = take("STAGE")
         if len(toks) != 4:
             raise KeyFormatError(f"line {lineno}: STAGE line needs <family> <i> <t>")
-        family = _FAMILY_TAGS.get(toks[1])
+        family = Family.__members__.get(toks[1])
         if family is None:
             raise KeyFormatError(f"line {lineno}: unknown family tag {toks[1]!r}")
         i = _key_int(toks[2], "parameter i", lineno)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def _field(side: int, seed: int, slope: float = 1.5) -> np.ndarray:
+def _field(side: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     fx = np.fft.fftfreq(side).reshape(-1, 1)
     fy = np.fft.fftfreq(side).reshape(1, -1)
@@ -19,7 +19,7 @@ def _field(side: int, seed: int, slope: float = 1.5) -> np.ndarray:
     f[0, 0] = 1.0  # keep the DC term finite
     spectrum = (
         rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    ) / f**slope
+    ) / f**1.5
     return np.fft.ifft2(spectrum).real
 
 

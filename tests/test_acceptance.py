@@ -77,7 +77,7 @@ def test_criterion_2_periods_match_brute_force():
                 spec = TransformSpec(family, i)
                 m = matrix_for(spec)
                 for n in range(2, 33):
-                    assert period(spec, n) == orbit_period(m.a, m.b, m.c, m.d, n), (
+                    assert period(spec, n) == orbit_period(*m, n), (
                         family, i, n,
                     )
 
@@ -221,4 +221,4 @@ def test_criterion_7_period_sweep_csv_vs_oracle(tmp_path):
             for line in lines[1:]:
                 i, p = map(int, line.split(","))
                 m = matrix_for(TransformSpec(family, i))
-                assert p == orbit_period(m.a, m.b, m.c, m.d, 128), (family, i)
+                assert p == orbit_period(*m, 128), (family, i)

@@ -12,7 +12,6 @@ from catstego.bitplane import (
     extract,
     get_plane,
     pack_payload,
-    set_plane,
     unpack_payload,
 )
 from catstego.schedule import ScrambleSchedule, Stage
@@ -34,6 +33,13 @@ def _bits(n, seed=0):
 
 
 # -- plane get/set ---------------------------------------------------------------
+
+
+def set_plane(img, p, bits):
+    """Replace bit p of every pixel with ``bits``: ``embed`` under a one-stage
+    key with t = 0, which scrambles nothing."""
+    key = ScrambleSchedule(len(img), (Stage(TransformSpec(Family.CLASSIC), 0),), (0,))
+    return embed(img, [bits], key, [p])
 
 
 def test_get_plane_all_zero():
@@ -238,6 +244,12 @@ def test_pack_capacity_limits():
     pack_payload(b"abcd", 8)
     with pytest.raises(ValueError, match="at most 4 bytes"):
         pack_payload(b"abcde", 8)
+
+
+def test_pack_side_above_limit_rejected():
+    # refused by the side check before any plane is allocated
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        pack_payload(b"", 1 << 20)
 
 
 def test_unpack_rejects_corrupt_header():

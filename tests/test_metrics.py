@@ -33,9 +33,24 @@ def test_mse_unit_difference():
     assert mse(a, b) == 1.0
 
 
+def test_mse_extremes_are_exact():
+    lo = np.zeros((4, 4), dtype=np.uint8)
+    hi = np.full((4, 4), 255, dtype=np.int64)
+    assert mse(lo, hi) == mse(hi, lo) == 255.0**2
+
+
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
         mse(_gray(8), _gray(4))
+
+
+def test_values_outside_8_bits_rejected():
+    # 256 would wrap to 0 in uint8 and read as unchanged
+    a, b = np.full((2, 2), 256), np.zeros((2, 2), dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        mse(a, b)
+    with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        bit_preservation_ratio(a, b)
 
 
 def test_psnr_closed_form_half():

@@ -30,6 +30,22 @@ def test_gray_round_trip_128(tmp_path):
     assert np.array_equal(read_gray(path), img)
 
 
+def test_gray_round_trip_of_views(tmp_path):
+    base = _gray(64, seed=2)
+    path = tmp_path / "img.pgm"
+    for view in (base.T, base[::2, 1::2], base[::-3, ::-3]):
+        write_gray(path, view)
+        assert np.array_equal(read_gray(path), view)
+
+
+def test_read_gray_result_is_writable(tmp_path):
+    path = tmp_path / "img.pgm"
+    write_gray(path, _gray(8))
+    img = read_gray(path)
+    img[0, 0] ^= 1
+    assert img.flags.writeable
+
+
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=40)
 def test_gray_round_trip_property(n, seed):
