@@ -74,7 +74,8 @@ def embed(
             raise ValueError(
                 f"message side {msg.shape[0]} does not match cover side {cover.shape[0]}"
             )
-        packed |= msg << np.uint8(p)
+        # a multiply by 2**p, not a shift: numpy does not vectorise uint8 shifts
+        packed |= msg * np.uint8(1 << p)
     return (cover & ~_plane_mask(planes)) | schedule_scramble(packed, sched)
 
 

@@ -73,10 +73,15 @@ def cmd_extract(args) -> int:
 
 
 def cmd_scramble(args) -> int:
-    """``scramble`` and ``unscramble``: ``args.transform`` picks the direction."""
+    """``scramble`` and ``unscramble``: ``args.command`` picks the direction."""
     kind, img = netpbm.read_auto(args.image)
     sched, _ = _load_key(args.key)
-    out = args.transform(img, sched)
+    # looked up per call, not stored on the parser: the parser outlives any
+    # rebinding of these names (tracing wraps them)
+    if args.command == "scramble":
+        out = schedule.schedule_scramble(img, sched)
+    else:
+        out = schedule.schedule_unscramble(img, sched)
     (netpbm.write_gray if kind == "gray" else netpbm.write_binary)(args.out, out)
     return 0
 
@@ -147,15 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unpack each recovered plane back into raw bytes")
     p.set_defaults(func=cmd_extract)
 
-    for name, transform, what in (
-        ("scramble", schedule.schedule_scramble, "scramble a whole image with a key's schedule"),
-        ("unscramble", schedule.schedule_unscramble, "invert a key's schedule on a whole image"),
+    for name, what in (
+        ("scramble", "scramble a whole image with a key's schedule"),
+        ("unscramble", "invert a key's schedule on a whole image"),
     ):
         p = sub.add_parser(name, help=what)
         p.add_argument("image", help="P5 or P4 image")
         p.add_argument("key", help="key file")
         p.add_argument("out", help="output image (same format as input)")
-        p.set_defaults(func=cmd_scramble, transform=transform)
+        p.set_defaults(func=cmd_scramble)
 
     p = sub.add_parser("period", help="print the period of one transform")
     p.add_argument("family", type=_family, help="classic, rowfirst, or colfirst")
@@ -187,15 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="key file to write")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed; same seed reproduces the same key")
-    p.add_argument("--planes", type=int, nargs="+", default=[0, 1, 2],
+    p.add_argument("--planes", type=int, nargs="+", default=(0, 1, 2),
                    help="target bit planes (default: 0 1 2)")
     p.set_defaults(func=cmd_keygen)
 
     return parser
 
 
+# built once per process; every call only parses with it, so nothing may
+# change it after this line and its defaults must be immutable
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -14,6 +14,7 @@ from .arnold import grid_side
 from .bitplane import as_gray
 
 PEAK = 255
+_ROWS = 64  # rows per block in mse
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,9 +32,13 @@ def _db(m: float) -> float:
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared intensity difference."""
     a, b = map(as_gray, _pair(a, b))
-    # the integer sum is exact, so one rounding (the division) gives the mean
-    sq = np.square(np.subtract(a, b, dtype=np.int16), dtype=np.int32)
-    return int(sq.sum(dtype=np.int64)) / sq.size
+    # the integer sum is exact, so one rounding (the division) gives the
+    # mean; blocks of rows keep the int16/int32 temporaries cache-sized
+    total = 0
+    for r in range(0, a.shape[0], _ROWS):
+        d = np.subtract(a[r : r + _ROWS], b[r : r + _ROWS], dtype=np.int16)
+        total += int(np.square(d, dtype=np.int32).sum(dtype=np.int64))
+    return total / a.size
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -48,8 +53,12 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 def bit_preservation_ratio(cover: np.ndarray, stego: np.ndarray) -> float:
     """Fraction of all 8 * N * N cover bits left unchanged."""
     cover, stego = map(as_gray, _pair(cover, stego))
-    changed = np.bitwise_count(cover ^ stego)
-    return 1.0 - int(changed.sum(dtype=np.int64)) / (8 * changed.size)
+    diff = np.bitwise_xor(cover, stego, order="C").reshape(-1)
+    # popcount 8 pixels per uint64 word, then the < 8 bytes left over
+    whole = diff.size - diff.size % 8
+    changed = int(np.bitwise_count(diff[:whole].view(np.uint64)).sum(dtype=np.int64))
+    changed += int(np.bitwise_count(diff[whole:]).sum(dtype=np.int64))
+    return 1.0 - changed / (8 * diff.size)
 
 
 def bit_agreement(a: np.ndarray, b: np.ndarray) -> float:

@@ -43,30 +43,28 @@ def atomic_write_bytes(path, data: bytes, mode: int = 0o666) -> None:
         raise
 
 
-def _header(data: bytes, n_tokens: int, path) -> tuple[list[bytes], int]:
-    # returns header tokens and the offset of the raster (one whitespace
-    # byte after the last token, comments allowed between tokens)
+def _tokens(fh, n_tokens: int, path) -> list[bytes]:
+    """The next ``n_tokens`` header tokens, leaving ``fh`` at the raster: one
+    whitespace byte after the last token (comments allowed between tokens)."""
     toks: list[bytes] = []
-    i = 0
+    ch = fh.read(1)
     while len(toks) < n_tokens:
-        if i >= len(data):
+        if not ch:
             raise NetpbmError(f"{path}: truncated header")
-        ch = data[i]
         if ch in _WS:
-            i += 1
-            continue
-        if ch == 0x23:  # '#' comment runs to end of line
-            while i < len(data) and data[i] not in b"\r\n":
-                i += 1
-            continue
-        j = i
-        while j < len(data) and data[j] not in _WS and data[j] != 0x23:
-            j += 1
-        toks.append(data[i:j])
-        i = j
-    if i >= len(data) or data[i] not in _WS:
+            ch = fh.read(1)
+        elif ch == b"#":  # comment runs to end of line
+            while ch and ch not in b"\r\n":
+                ch = fh.read(1)
+        else:
+            tok = bytearray()
+            while ch and ch not in _WS and ch != b"#":
+                tok += ch
+                ch = fh.read(1)
+            toks.append(bytes(tok))
+    if not ch or ch not in _WS:
         raise NetpbmError(f"{path}: missing whitespace before raster")
-    return toks, i + 1
+    return toks
 
 
 def _int_token(tok: bytes, what: str, path) -> int:
@@ -76,14 +74,13 @@ def _int_token(tok: bytes, what: str, path) -> int:
         raise NetpbmError(f"{path}: {what} is not an integer: {tok!r}") from None
 
 
-def _read(path, magic: bytes, n_tokens: int) -> tuple[bytes, int, int, list[bytes]]:
-    """The file's bytes, raster offset and side, and its header tokens after
-    width and height."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] != magic:
-        raise NetpbmError(f"{path}: bad magic number {data[:2]!r}, expected {magic.decode()}")
-    toks, offset = _header(data[2:], n_tokens, path)
+def _header(fh, magic: bytes, n_tokens: int, path) -> tuple[int, list[bytes]]:
+    """Read and check a square image's header from ``fh``; returns the side
+    and the header tokens after width and height. No raster byte is read."""
+    got = fh.read(2)
+    if got != magic:
+        raise NetpbmError(f"{path}: bad magic number {got!r}, expected {magic.decode()}")
+    toks = _tokens(fh, n_tokens, path)
     w = _int_token(toks[0], "width", path)
     h = _int_token(toks[1], "height", path)
     if w < 1 or h < 1:
@@ -94,24 +91,27 @@ def _read(path, magic: bytes, n_tokens: int) -> tuple[bytes, int, int, list[byte
         check_side(w)
     except ValueError as exc:
         raise NetpbmError(f"{path}: {exc}") from None
-    return data, offset + 2, w, toks[2:]
+    return w, toks[2:]
 
 
-def _raster(data: bytes, offset: int, size: int, path) -> np.ndarray:
-    if len(data) - offset < size:
+def _raster(fh, shape: tuple[int, int], path) -> np.ndarray:
+    raster = np.empty(shape, np.uint8)
+    got = fh.readinto(raster)
+    if got < raster.size:
         raise NetpbmError(
-            f"{path}: truncated raster, expected {size} bytes, got {len(data) - offset}"
+            f"{path}: truncated raster, expected {raster.size} bytes, got {got}"
         )
-    return np.frombuffer(data, np.uint8, count=size, offset=offset)
+    return raster
 
 
 def read_gray(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 255) square image as uint8."""
-    data, offset, n, (maxval,) = _read(path, b"P5", 3)
-    maxval = _int_token(maxval, "maxval", path)
-    if maxval != 255:
-        raise NetpbmError(f"{path}: maxval must be 255 (8-bit), got {maxval}")
-    return _raster(data, offset, n * n, path).reshape(n, n).copy()
+    with open(path, "rb") as fh:
+        n, (maxval,) = _header(fh, b"P5", 3, path)
+        maxval = _int_token(maxval, "maxval", path)
+        if maxval != 255:
+            raise NetpbmError(f"{path}: maxval must be 255 (8-bit), got {maxval}")
+        return _raster(fh, (n, n), path)
 
 
 def write_gray(path, img: np.ndarray) -> None:
@@ -124,11 +124,11 @@ def write_gray(path, img: np.ndarray) -> None:
 
 def read_binary(path) -> np.ndarray:
     """Read a binary PBM (P4) square image as a 0/1 uint8 array."""
-    data, offset, n, _ = _read(path, b"P4", 2)
-    row_bytes = (n + 7) // 8
-    rows = _raster(data, offset, n * row_bytes, path).reshape(n, row_bytes)
+    with open(path, "rb") as fh:
+        n, _ = _header(fh, b"P4", 2, path)
+        rows = _raster(fh, (n, (n + 7) // 8), path)
     # rows are padded to byte boundaries, bits packed MSB-first
-    return np.unpackbits(rows, axis=1)[:, :n].copy()
+    return np.unpackbits(rows, axis=1, count=n)
 
 
 def write_binary(path, img: np.ndarray) -> None:

@@ -1,10 +1,13 @@
 import os
 import stat
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import catstego.schedule
 from catstego.bitplane import get_plane
 from catstego.cli import main
 from catstego.netpbm import read_binary, read_gray, write_binary, write_gray
@@ -267,3 +270,50 @@ def test_key_file_stays_private(tmp_path, umask_027):
     key = tmp_path / "k.txt"
     assert main(["keygen", "16", "2", str(key), "--seed", "3"]) == 0
     assert _mode(key) == 0o600
+
+
+def test_scramble_direction_resolved_at_call_time(workspace, monkeypatch):
+    # the parser is built at import; rebinding the schedule functions after
+    # that (as a tracer does) must still reach the scramble commands
+    calls = []
+    for name in ("schedule_scramble", "schedule_unscramble"):
+        orig = getattr(catstego.schedule, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(catstego.schedule, name, counted)
+    ws = workspace
+    assert main(["scramble", str(ws / "cover.pgm"), str(ws / "key.txt"),
+                 str(ws / "s.pgm")]) == 0
+    assert calls == ["schedule_scramble"]
+    assert main(["unscramble", str(ws / "s.pgm"), str(ws / "key.txt"),
+                 str(ws / "u.pgm")]) == 0
+    assert calls == ["schedule_scramble", "schedule_unscramble"]
+
+
+def test_calls_leak_no_state_into_later_calls(workspace):
+    ws = workspace
+    main(["embed", str(ws / "cover.pgm"), str(ws / "key.txt"),
+          str(ws / "stego.pgm"), str(ws / "msg0.pbm"), str(ws / "msg1.pbm")])
+    outs = [str(ws / "out0.pbm"), str(ws / "out1.pbm")]
+    assert main(["extract", "--raw", str(ws / "stego.pgm"), str(ws / "key.txt"), *outs]) == 0
+    assert main(["extract", str(ws / "stego.pgm"), str(ws / "key.txt"), *outs]) == 0
+    for k in range(2):
+        assert np.array_equal(read_binary(outs[k]), read_binary(ws / f"msg{k}.pbm"))
+    key = ws / "k.txt"
+    assert main(["keygen", "16", "1", str(key), "--seed", "1", "--planes", "3", "5"]) == 0
+    assert main(["keygen", "16", "1", str(key), "--seed", "1"]) == 0
+    assert key.read_text().splitlines()[-1] == "PLANES 0 1 2"
+
+
+def test_module_entry_point():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "catstego.cli", "period", "classic", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "10\n"

@@ -53,6 +53,17 @@ def test_values_outside_8_bits_rejected():
         bit_preservation_ratio(a, b)
 
 
+@pytest.mark.parametrize("n", [1, 3, 127, 128])
+def test_metrics_match_int64_reference(n):
+    # sides 1, 3 and 127 leave a tail of N² % 8 bytes after the uint64 words
+    a, b = _gray(n, seed=n), _gray(n, seed=n + 1000)
+    b[0, 0] = a[0, 0] ^ 0xFF
+    wide_a, wide_b = a.astype(np.int64), b.astype(np.int64)
+    assert mse(a, b) == ((wide_a - wide_b) ** 2).sum() / (n * n)
+    changed = sum(((wide_a ^ wide_b) >> k & 1).sum() for k in range(8))
+    assert bit_preservation_ratio(a, b) == 1.0 - changed / (8 * n * n)
+
+
 def test_psnr_closed_form_half():
     # images differing by exactly 1 in exactly half the pixels: mse = 0.5
     a = np.zeros((16, 16), dtype=np.uint8)

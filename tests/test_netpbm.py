@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,28 @@ def test_side_above_limit_rejected_before_the_raster(tmp_path):
     path.write_bytes(f"P4\n{MAX_SIDE + 1} {MAX_SIDE + 1}\n".encode())
     with pytest.raises(NetpbmError, match="exceeds the limit"):
         read_binary(path)
+
+
+def test_oversized_header_refused_without_reading_the_raster(tmp_path):
+    path = tmp_path / "big.pgm"
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{MAX_SIDE + 1} {MAX_SIDE + 1}\n255\n".encode())
+        fh.truncate(fh.tell() + (64 << 20))  # sparse 64 MiB "raster"
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetpbmError, match="exceeds the limit"):
+            read_gray(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_long_header_comment_parses(tmp_path):
+    img = _gray(5, seed=6)
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n#" + b"x" * 10_000 + b"\n5 5\n255\n" + img.tobytes())
+    assert np.array_equal(read_gray(path), img)
 
 
 def test_read_auto_dispatch(tmp_path):
