@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +29,21 @@ def _as_int(value, what: str) -> int:
         return int(operator.index(value))
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(token, what: str) -> int:
+    """A str or bytes token of ASCII decimal digits, optionally after one "-",
+    as an int; anything else is a ValueError echoing at most 32 characters."""
+    text = token.decode("latin-1") if isinstance(token, bytes) else token
+    if _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"{what} is not an integer: {token[:32]!r}")
 
 
 class Family(Enum):

@@ -11,13 +11,18 @@ bits abstractly, so polarity only matters when viewing files.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
-from .arnold import check_side
+from .arnold import _decimal, check_side
 from .bitplane import as_binary, as_gray
 
-_WS = b" \t\n\r\x0b\x0c"
+# The header is read in one piece of at most this many bytes.
+_HEADER_MAX = 1 << 16
+# One header token after any whitespace and comments; a comment runs from "#"
+# to the next CR or LF, so it can be parsed only one way.
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*(?![^\r\n]))*([^ \t\n\r\x0b\x0c#]+)")
 
 
 class NetpbmError(ValueError):
@@ -43,60 +48,43 @@ def atomic_write_bytes(path, data: bytes, mode: int = 0o666) -> None:
         raise
 
 
-def _tokens(fh, n_tokens: int, path) -> list[bytes]:
-    """The next ``n_tokens`` header tokens, leaving ``fh`` at the raster: one
-    whitespace byte after the last token (comments allowed between tokens)."""
-    toks: list[bytes] = []
-    ch = fh.read(1)
-    while len(toks) < n_tokens:
-        if not ch:
-            raise NetpbmError(f"{path}: truncated header")
-        if ch in _WS:
-            ch = fh.read(1)
-        elif ch == b"#":  # comment runs to end of line
-            while ch and ch not in b"\r\n":
-                ch = fh.read(1)
-        else:
-            tok = bytearray()
-            while ch and ch not in _WS and ch != b"#":
-                tok += ch
-                ch = fh.read(1)
-            toks.append(bytes(tok))
-    if not ch or ch not in _WS:
+def _header(fh, magic: bytes, names: tuple[str, ...], path) -> tuple[int, list[int], bytes]:
+    """Read and check a square image's header from ``fh`` in one read of at
+    most ``_HEADER_MAX`` bytes. Returns the side, the integers named after
+    width and height, and the raster bytes read along with the header."""
+    head = fh.read(_HEADER_MAX)
+    if head[:2] != magic:
+        raise NetpbmError(f"{path}: bad magic number {head[:2]!r}, expected {magic.decode()}")
+    toks, pos = [], 2
+    while len(toks) < len(names) and (m := _TOKEN.match(head, pos)):
+        toks.append(m[1])
+        pos = m.end()
+    if len(head) == _HEADER_MAX and (len(toks) < len(names) or pos == len(head)):
+        raise NetpbmError(f"{path}: header exceeds {_HEADER_MAX} bytes")
+    if len(toks) < len(names):
+        raise NetpbmError(f"{path}: truncated header")
+    if not head[pos:pos + 1].isspace():
         raise NetpbmError(f"{path}: missing whitespace before raster")
-    return toks
-
-
-def _int_token(tok: bytes, what: str, path) -> int:
     try:
-        return int(tok)
-    except ValueError:
-        raise NetpbmError(f"{path}: {what} is not an integer: {tok!r}") from None
-
-
-def _header(fh, magic: bytes, n_tokens: int, path) -> tuple[int, list[bytes]]:
-    """Read and check a square image's header from ``fh``; returns the side
-    and the header tokens after width and height. No raster byte is read."""
-    got = fh.read(2)
-    if got != magic:
-        raise NetpbmError(f"{path}: bad magic number {got!r}, expected {magic.decode()}")
-    toks = _tokens(fh, n_tokens, path)
-    w = _int_token(toks[0], "width", path)
-    h = _int_token(toks[1], "height", path)
-    if w < 1 or h < 1:
-        raise NetpbmError(f"{path}: image dimensions must be positive, got {w}x{h}")
-    if w != h:
-        raise NetpbmError(f"{path}: image must be square, got {w}x{h}")
-    try:
+        w, h = _decimal(toks[0], names[0]), _decimal(toks[1], names[1])
+        if w < 1 or h < 1:
+            raise ValueError(f"image dimensions must be positive, got {w}x{h}")
+        if w != h:
+            raise ValueError(f"image must be square, got {w}x{h}")
         check_side(w)
+        rest = [_decimal(tok, what) for tok, what in zip(toks[2:], names[2:])]
     except ValueError as exc:
         raise NetpbmError(f"{path}: {exc}") from None
-    return w, toks[2:]
+    return w, rest, head[pos + 1:]
 
 
-def _raster(fh, shape: tuple[int, int], path) -> np.ndarray:
+def _raster(fh, start: bytes, shape: tuple[int, int], path) -> np.ndarray:
+    """The raster: the bytes of ``start`` it needs, then the rest from ``fh``."""
     raster = np.empty(shape, np.uint8)
-    got = fh.readinto(raster)
+    buf = memoryview(raster).cast("B")
+    got = min(len(start), len(buf))
+    buf[:got] = start[:got]
+    got += fh.readinto(buf[got:])
     if got < raster.size:
         raise NetpbmError(
             f"{path}: truncated raster, expected {raster.size} bytes, got {got}"
@@ -107,11 +95,10 @@ def _raster(fh, shape: tuple[int, int], path) -> np.ndarray:
 def read_gray(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 255) square image as uint8."""
     with open(path, "rb") as fh:
-        n, (maxval,) = _header(fh, b"P5", 3, path)
-        maxval = _int_token(maxval, "maxval", path)
+        n, (maxval,), start = _header(fh, b"P5", ("width", "height", "maxval"), path)
         if maxval != 255:
             raise NetpbmError(f"{path}: maxval must be 255 (8-bit), got {maxval}")
-        return _raster(fh, (n, n), path)
+        return _raster(fh, start, (n, n), path)
 
 
 def write_gray(path, img: np.ndarray) -> None:
@@ -125,8 +112,8 @@ def write_gray(path, img: np.ndarray) -> None:
 def read_binary(path) -> np.ndarray:
     """Read a binary PBM (P4) square image as a 0/1 uint8 array."""
     with open(path, "rb") as fh:
-        n, _ = _header(fh, b"P4", 2, path)
-        rows = _raster(fh, (n, (n + 7) // 8), path)
+        n, _, start = _header(fh, b"P4", ("width", "height"), path)
+        rows = _raster(fh, start, (n, (n + 7) // 8), path)
     # rows are padded to byte boundaries, bits packed MSB-first
     return np.unpackbits(rows, axis=1, count=n)
 

@@ -25,6 +25,7 @@ from .arnold import (
     Family,
     TransformSpec,
     _as_int,
+    _decimal,
     _mul,
     _reduce,
     _stage_power,
@@ -129,13 +130,6 @@ def serialize_key(sched: ScrambleSchedule, planes: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _key_int(token: str, what: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise KeyFormatError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
-
-
 def _on_line(lineno: int, make, *args):
     """``make(*args)``; a ValueError becomes a KeyFormatError naming the line."""
     try:
@@ -160,12 +154,12 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
     lineno, toks = take("N")
     if len(toks) != 2:
         raise KeyFormatError(f"line {lineno}: N line needs exactly one value")
-    side = _on_line(lineno, check_side, _key_int(toks[1], "side", lineno))
+    side = _on_line(lineno, lambda: check_side(_decimal(toks[1], "side")))
 
     lineno, toks = take("M")
     if len(toks) != 2:
         raise KeyFormatError(f"line {lineno}: M line needs exactly one value")
-    m = _key_int(toks[1], "stage count", lineno)
+    m = _on_line(lineno, _decimal, toks[1], "stage count")
     if m < 1:
         raise KeyFormatError(f"line {lineno}: stage count must be >= 1, got {m}")
 
@@ -177,16 +171,16 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
         family = Family.__members__.get(toks[1])
         if family is None:
             raise KeyFormatError(f"line {lineno}: unknown family tag {toks[1]!r}")
-        i = _key_int(toks[2], "parameter i", lineno)
-        t = _key_int(toks[3], "iteration count t", lineno)
+        i = _on_line(lineno, _decimal, toks[2], "parameter i")
+        t = _on_line(lineno, _decimal, toks[3], "iteration count t")
         stages.append(_on_line(lineno, lambda: Stage(TransformSpec(family, i), t)))
 
     lineno, toks = take("ORDER")
-    order = tuple(_key_int(tok, "order entry", lineno) for tok in toks[1:])
+    order = tuple(_on_line(lineno, _decimal, tok, "order entry") for tok in toks[1:])
     sched = _on_line(lineno, ScrambleSchedule, side, tuple(stages), order)
 
     lineno, toks = take("PLANES")
-    planes = [_key_int(tok, "plane index", lineno) for tok in toks[1:]]
+    planes = [_on_line(lineno, _decimal, tok, "plane index") for tok in toks[1:]]
     planes = _on_line(lineno, check_planes, planes)
 
     lineno, _ = next(entries, (None, None))

@@ -116,6 +116,23 @@ def test_pack_unpack_payload_flow(tmp_path):
     assert (tmp_path / "recovered.bin").read_bytes() == secret
 
 
+def test_raw_packed_plane_shows_the_payload_weight(tmp_path):
+    # the key hides where the bits are, not how many there are: a permutation
+    # keeps the number of ones, and the padding is zeros
+    write_gray(tmp_path / "cover.pgm", natural_gray(64, seed=41))
+    sched = ScrambleSchedule(64, (Stage(TransformSpec(Family.ROWFIRST, 4), 9),), (0,))
+    (tmp_path / "key.txt").write_text(serialize_key(sched, [0]))
+    secret = b"attack at dawn" * 9
+    (tmp_path / "secret.bin").write_bytes(secret)
+    assert main(["embed", "--pack", str(tmp_path / "cover.pgm"), str(tmp_path / "key.txt"),
+                 str(tmp_path / "stego.pgm"), str(tmp_path / "secret.bin")]) == 0
+    assert main(["extract", "--raw", str(tmp_path / "stego.pgm"), str(tmp_path / "key.txt"),
+                 str(tmp_path / "raw.pbm")]) == 0
+    framed = len(secret).to_bytes(4, "big") + secret
+    ones = int(read_binary(tmp_path / "raw.pbm").sum())
+    assert ones == sum(bin(b).count("1") for b in framed)
+
+
 def test_scramble_unscramble_files(workspace):
     ws = workspace
     for name in ("cover.pgm", "msg0.pbm"):

@@ -1,3 +1,8 @@
+import os
+import re
+import tempfile
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -51,9 +56,6 @@ def test_read_gray_result_is_writable(tmp_path):
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=40)
 def test_gray_round_trip_property(n, seed):
-    import os
-    import tempfile
-
     img = _gray(n, seed)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "img.pgm")
@@ -96,6 +98,9 @@ def test_reader_accepts_comments(tmp_path):
     body = b"P5 # magic\n# a comment line\n4 # width\n 4\n# another\n255\n" + img.tobytes()
     path.write_bytes(body)
     assert np.array_equal(read_gray(path), img)
+    # a comment ends at CR or LF and may follow a token directly
+    path.write_bytes(b"P5#x\n#x\r4#x 5\n4\n#\n255\n" + img.tobytes())
+    assert np.array_equal(read_gray(path), img)
 
 
 def test_writer_never_emits_comments(tmp_path):
@@ -136,6 +141,11 @@ def test_truncated_raster_rejected(tmp_path):
     path2.write_bytes(b"P4\n16 16\n" + bytes(3))
     with pytest.raises(NetpbmError, match="truncated"):
         read_binary(path2)
+    # a raster larger than the first read still reports the exact count
+    path.write_bytes(b"P5\n300 300\n255\n" + bytes(70_000))
+    with pytest.raises(NetpbmError) as err:
+        read_gray(path)
+    assert str(err.value) == f"{path}: truncated raster, expected 90000 bytes, got 70000"
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -153,6 +163,9 @@ def test_zero_dimension_rejected(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n0 0\n255\n")
     with pytest.raises(NetpbmError, match="positive"):
+        read_gray(path)
+    path.write_bytes(b"P5 -4 -4 255\n" + bytes(16))
+    with pytest.raises(NetpbmError, match="image dimensions must be positive, got -4x-4"):
         read_gray(path)
 
 
@@ -184,8 +197,9 @@ def test_oversized_header_refused_without_reading_the_raster(tmp_path):
 def test_long_header_comment_parses(tmp_path):
     img = _gray(5, seed=6)
     path = tmp_path / "img.pgm"
-    path.write_bytes(b"P5\n#" + b"x" * 10_000 + b"\n5 5\n255\n" + img.tobytes())
-    assert np.array_equal(read_gray(path), img)
+    for length in (10_000, 60_000):
+        path.write_bytes(b"P5\n#" + b"x" * length + b"\n5 5\n255\n" + img.tobytes())
+        assert np.array_equal(read_gray(path), img)
 
 
 def test_read_auto_dispatch(tmp_path):
@@ -213,3 +227,127 @@ def test_atomic_write_replaces_existing(tmp_path):
     atomic_write_bytes(target, b"two")
     assert target.read_bytes() == b"two"
     assert list(tmp_path.iterdir()) == [target]
+
+
+# -- the bounded header --------------------------------------------------------
+
+
+def _refusal(path):
+    """Time one refused read, then measure its traced peak in a second read."""
+    start = time.perf_counter()
+    with pytest.raises(NetpbmError) as err:
+        read_gray(path)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetpbmError):
+            read_gray(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(err.value), elapsed, peak
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n#" + b"x" * (4 << 20) + b"\n4 4\n255\n",
+    b"P5\n" + b"1" * (4 << 20) + b" 4\n255\n",
+], ids=["comment", "width"])
+def test_huge_header_refused_quickly_and_briefly(tmp_path, header):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header + bytes(16))
+    msg, elapsed, peak = _refusal(path)
+    assert msg == f"{path}: header exceeds 65536 bytes"
+    assert elapsed < 0.1
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P5" + b"#" * 65_534, "header exceeds"),
+    (b"P5" + b" " * 65_534, "header exceeds"),
+    # each "#x" is a comment to its LF, so "x" is never read as the maxval
+    (b"P5 4 4" + b"#x\n" * 21_842, "truncated header"),
+    (b"P5" + b"#\r" * 30_000, "truncated header"),
+], ids=["hashes", "spaces", "hash-x-lines", "hash-cr"])
+def test_pathological_headers_refused_in_linear_time(tmp_path, header, message):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header)
+    msg, elapsed, _ = _refusal(path)
+    assert message in msg
+    assert elapsed < 0.5
+
+
+def test_long_width_token_echo_is_truncated(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n" + b"x" * 10_000 + b" 4\n255\n" + bytes(16))
+    with pytest.raises(NetpbmError) as err:
+        read_gray(path)
+    assert str(err.value) == f"{path}: width is not an integer: {b'x' * 32!r}"
+
+
+def test_header_split_across_pipe_writes(tmp_path):
+    img = _gray(9, seed=9)
+    parts = [b"P5\n# a comm", b"ent\n9", b" 9\n25", b"5\n" + img.tobytes()]
+    r, w = os.pipe()
+
+    def writer():
+        with os.fdopen(w, "wb", buffering=0) as fh:
+            for part in parts:
+                fh.write(part)
+                time.sleep(0.02)
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        assert np.array_equal(read_gray(f"/dev/fd/{r}"), img)
+    finally:
+        thread.join()
+        os.close(r)
+
+
+def test_raster_larger_than_the_first_read(tmp_path):
+    img = _gray(300, seed=10)
+    path = tmp_path / "img.pgm"
+    write_gray(path, img)
+    assert np.array_equal(read_gray(path), img)
+    bits = _bits(900, seed=10)
+    write_binary(tmp_path / "img.pbm", bits)
+    assert np.array_equal(read_binary(tmp_path / "img.pbm"), bits)
+
+
+_ws = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_comment = st.builds(
+    lambda body, end: b"#" + body + end,
+    st.binary(max_size=20).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+    st.sampled_from([b"\n", b"\r"]),
+)
+_separator = st.lists(st.one_of(_ws, _comment), min_size=1, max_size=4).map(b"".join)
+
+
+@given(st.integers(1, 12), st.lists(_separator, min_size=3, max_size=3), _ws,
+       st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_any_whitespace_and_comments_between_tokens(n, seps, last, seed):
+    img = _gray(n, seed)
+    header = b"P5" + b"".join(s + t for s, t in zip(seps, [b"%d" % n, b"%d" % n, b"255"]))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "img.pgm")
+        with open(path, "wb") as fh:
+            fh.write(header + last + img.tobytes())
+        assert np.array_equal(read_gray(path), img)
+
+
+@pytest.mark.parametrize("token", [b"+4", b"0_4", b"4_", b"\xd9\xa4", b"0x4", b"4.0", b"--4"],
+                         ids=["plus", "underscore", "trailing-underscore", "arabic-indic", "hex",
+                              "float", "double-minus"])
+def test_header_integers_are_ascii_decimal(tmp_path, token):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5 " + token + b" 4 255\n" + bytes(16))
+    with pytest.raises(NetpbmError, match=f"{re.escape(str(path))}: width is not an integer"):
+        read_gray(path)
+
+
+def test_zero_padded_header_integers_parse(tmp_path):
+    path = tmp_path / "img.pgm"
+    img = _gray(4, seed=11)
+    path.write_bytes(b"P5 004 4 0255\n" + img.tobytes())
+    assert np.array_equal(read_gray(path), img)

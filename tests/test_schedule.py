@@ -219,6 +219,18 @@ def test_empty_planes_line_allowed():
         ("N 8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\nEXTRA\n", "trailing"),
         ("N 8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\n", "unexpected end"),
         ("M 1\nN 8\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n", "expected N"),
+        # integers are ASCII decimal; an echoed token is cut to 32 characters
+        ("N +8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n", "line 1: side is not an integer: '+8'"),
+        ("N 0_8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n", "line 1: side is not an integer: '0_8'"),
+        ("N ٨\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n", "line 1: side is not an integer: '٨'"),
+        ("N 8\nM 1\nSTAGE CLASSIC 1 ²\nORDER 0\nPLANES 0\n",
+         "line 3: iteration count t is not an integer: '²'"),
+        ("N 8\nM 1\nSTAGE CLASSIC 1 " + "x" * 40 + "\nORDER 0\nPLANES 0\n",
+         f"line 3: iteration count t is not an integer: {'x' * 32!r}"),
+        # negative values still reach the range checks
+        ("N -8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n", "line 1: side must be >= 1, got -8"),
+        ("N 8\nM 1\nSTAGE CLASSIC 1 -3\nORDER 0\nPLANES 0\n",
+         "line 3: iteration count t must be >= 0, got -3"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -287,3 +299,8 @@ def test_random_schedule_rejects_bad_args():
         random_schedule(0, 1, random.Random(0))
     with pytest.raises(ValueError):
         random_schedule(8, 0, random.Random(0))
+
+
+def test_zero_padded_key_integers_parse():
+    sched, _ = parse_key("N 008\nM 1\nSTAGE CLASSIC 1 -0\nORDER 0\nPLANES 0\n")
+    assert sched.side == 8 and sched.stages[0].t == 0
