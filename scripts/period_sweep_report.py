@@ -10,7 +10,7 @@ of available periods is what makes i worth keeping secret.
 import argparse
 from pathlib import Path
 
-from catstego.arnold import Family, period_sweep
+from catstego.arnold import Family, TransformSpec, period
 
 
 def main():
@@ -25,7 +25,8 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
 
     for family in (Family.ROWFIRST, Family.COLFIRST):
-        rows = period_sweep(family, args.lo, args.hi, args.side)
+        rows = [(i, period(TransformSpec(family, i), args.side))
+                for i in range(args.lo, args.hi + 1)]
         path = outdir / f"periods_{family.value.lower()}_n{args.side}.csv"
         with open(path, "w", encoding="ascii") as fh:
             fh.write("i,period\n")

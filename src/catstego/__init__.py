@@ -8,9 +8,6 @@ from .arnold import (
     matrix_for,
     matrix_period,
     period,
-    period_sweep,
-    scramble,
-    unscramble,
 )
 from .bitplane import (
     capacity_bytes,
@@ -22,7 +19,6 @@ from .bitplane import (
 )
 from .metrics import (
     MetricsReport,
-    bit_agreement,
     bit_preservation_ratio,
     compare,
     mse,

@@ -5,6 +5,9 @@ to pixel coordinates mod N. Because the determinant is a unit, every member
 is a bijection of the N*N positions and therefore has a finite period.
 A matrix is a plain tuple (a, b, c, d), read as [a b; c d].
 
+Any run of stages is one matrix mod N (``schedule.composite_matrix``), so
+pixels move only through ``scatter`` and ``gather`` by a matrix.
+
 A permutation is applied by factoring its matrix into row steps, which move
 and rotate each row as one contiguous copy, and tiled transposes; no
 N*N-sized index is built. Every side is an integer in [1, MAX_SIDE],
@@ -69,7 +72,7 @@ class TransformSpec:
         if self.family is Family.CLASSIC:
             i = 1
         elif i < 1:
-            raise ValueError(f"parameter i must be >= 1, got {i}")
+            raise ValueError(f"parameter i must be >= 1, got {i!s:.32}")
         object.__setattr__(self, "i", i)
 
 
@@ -101,10 +104,11 @@ MAX_SIDE = 1 << 17
 def check_side(n) -> int:
     """Validate a grid side, an integer in [1, MAX_SIDE], and return it."""
     n = _as_int(n, "side")
+    # a parsed integer is echoed as at most 32 characters, as _decimal does
     if n < 1:
-        raise ValueError(f"side must be >= 1, got {n}")
+        raise ValueError(f"side must be >= 1, got {n!s:.32}")
     if n > MAX_SIDE:
-        raise ValueError(f"side {n} exceeds the limit of {MAX_SIDE}")
+        raise ValueError(f"side {n!s:.32} exceeds the limit of {MAX_SIDE}")
     return n
 
 
@@ -136,13 +140,6 @@ def _pow(m: tuple, t: int, n: int) -> tuple[int, int, int, int]:
         base = _mul(base, base, n)
         t >>= 1
     return acc
-
-
-def _stage_power(spec: TransformSpec, t: int, n: int) -> tuple[int, int, int, int]:
-    """M^t mod n for one transform; t must be >= 0."""
-    if t < 0:
-        raise ValueError(f"iteration count must be >= 0, got {t}")
-    return _pow(matrix_for(spec), t, n)
 
 
 # -- the permutation as shears -------------------------------------------------
@@ -230,27 +227,6 @@ def gather(grid: np.ndarray, m: tuple) -> np.ndarray:
     return scatter(grid, (det * d, -det * b, -det * c, det * a))
 
 
-# -- public operations --------------------------------------------------------
-
-
-def scramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
-    """Apply the transform ``t`` times (t = 0 is the identity).
-
-    Implemented as a single scatter with the matrix power M^t mod N, which is
-    exactly the t-fold composition of the one-step scatter.
-    """
-    return scatter(grid, _stage_power(spec, t, grid_side(grid)))
-
-
-def unscramble(grid: np.ndarray, spec: TransformSpec, t: int) -> np.ndarray:
-    """Exact inverse of ``scramble(grid, spec, t)``.
-
-    Gathers through M^t, which scatters by its inverse, so the period is
-    never computed.
-    """
-    return gather(grid, _stage_power(spec, t, grid_side(grid)))
-
-
 def matrix_period(m: tuple, n: int) -> int:
     """Smallest p >= 1 with M^p = identity mod n, by iterated multiplication.
     m must have det +-1 mod n; any other matrix never returns to the identity."""
@@ -269,12 +245,3 @@ def matrix_period(m: tuple, n: int) -> int:
 def period(spec: TransformSpec, n: int) -> int:
     """Period of a family member on an n x n grid."""
     return matrix_period(matrix_for(spec), n)
-
-
-def period_sweep(
-    family: Family, i_lo: int, i_hi: int, n: int
-) -> list[tuple[int, int]]:
-    """Period for each parameter i in [i_lo, i_hi], as (i, period) pairs."""
-    if not 1 <= i_lo <= i_hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{i_lo}, {i_hi}]")
-    return [(i, period(TransformSpec(family, i), n)) for i in range(i_lo, i_hi + 1)]

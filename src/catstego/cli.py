@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bitplane, metrics, netpbm, schedule
-from .arnold import Family, TransformSpec, period, period_sweep
+from .arnold import Family, TransformSpec, period
 
 
 def _family(token: str) -> Family:
@@ -92,8 +92,11 @@ def cmd_period(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = period_sweep(args.family, args.lo, args.hi, args.side)
-    text = "i,period\n" + "".join(f"{i},{p}\n" for i, p in rows)
+    if not 1 <= args.lo <= args.hi:
+        raise ValueError(f"need 1 <= lo <= hi, got [{args.lo}, {args.hi}]")
+    rows = (f"{i},{period(TransformSpec(args.family, i), args.side)}\n"
+            for i in range(args.lo, args.hi + 1))
+    text = "i,period\n" + "".join(rows)
     if args.out is None:
         print(text, end="")
     else:

@@ -1,4 +1,4 @@
-"""Distortion and agreement metrics between images.
+"""Distortion and bit-preservation metrics between images.
 
 MSE is in squared intensity units; PSNR uses the 8-bit peak of 255.
 """
@@ -59,12 +59,6 @@ def bit_preservation_ratio(cover: np.ndarray, stego: np.ndarray) -> float:
     changed = int(np.bitwise_count(diff[:whole].view(np.uint64)).sum(dtype=np.int64))
     changed += int(np.bitwise_count(diff[whole:]).sum(dtype=np.int64))
     return 1.0 - changed / (8 * diff.size)
-
-
-def bit_agreement(a: np.ndarray, b: np.ndarray) -> float:
-    """Fraction of equal cells between two binary images."""
-    a, b = _pair(a, b)
-    return float(np.mean(a == b))
 
 
 @dataclass(frozen=True)

@@ -48,34 +48,36 @@ def atomic_write_bytes(path, data: bytes, mode: int = 0o666) -> None:
         raise
 
 
-def _header(fh, magic: bytes, names: tuple[str, ...], path) -> tuple[int, list[int], bytes]:
+def _header(fh, magics: tuple[bytes, ...], path) -> tuple[bytes, int, bytes]:
     """Read and check a square image's header from ``fh`` in one read of at
-    most ``_HEADER_MAX`` bytes. Returns the side, the integers named after
-    width and height, and the raster bytes read along with the header."""
+    most ``_HEADER_MAX`` bytes. Returns the magic, one of ``magics``, the side,
+    and the raster bytes read along with the header."""
     head = fh.read(_HEADER_MAX)
-    if head[:2] != magic:
-        raise NetpbmError(f"{path}: bad magic number {head[:2]!r}, expected {magic.decode()}")
+    if head[:2] not in magics:
+        expected = " or ".join(m.decode() for m in magics)
+        raise NetpbmError(f"{path}: bad magic number {head[:2]!r}, expected {expected}")
+    count = 3 if head[:2] == b"P5" else 2  # width, height and P5's maxval
     toks, pos = [], 2
-    while len(toks) < len(names) and (m := _TOKEN.match(head, pos)):
+    while len(toks) < count and (m := _TOKEN.match(head, pos)):
         toks.append(m[1])
         pos = m.end()
-    if len(head) == _HEADER_MAX and (len(toks) < len(names) or pos == len(head)):
+    if len(head) == _HEADER_MAX and (len(toks) < count or pos == len(head)):
         raise NetpbmError(f"{path}: header exceeds {_HEADER_MAX} bytes")
-    if len(toks) < len(names):
+    if len(toks) < count:
         raise NetpbmError(f"{path}: truncated header")
     if not head[pos:pos + 1].isspace():
         raise NetpbmError(f"{path}: missing whitespace before raster")
     try:
-        w, h = _decimal(toks[0], names[0]), _decimal(toks[1], names[1])
-        if w < 1 or h < 1:
-            raise ValueError(f"image dimensions must be positive, got {w}x{h}")
-        if w != h:
-            raise ValueError(f"image must be square, got {w}x{h}")
+        w, h = _decimal(toks[0], "width"), _decimal(toks[1], "height")
+        if w < 1 or h < 1 or w != h:
+            what = "dimensions must be positive" if min(w, h) < 1 else "must be square"
+            raise ValueError(f"image {what}, got {w!s:.32}x{h!s:.32}")
         check_side(w)
-        rest = [_decimal(tok, what) for tok, what in zip(toks[2:], names[2:])]
+        if count == 3 and (maxval := _decimal(toks[2], "maxval")) != 255:
+            raise ValueError(f"maxval must be 255 (8-bit), got {maxval!s:.32}")
     except ValueError as exc:
         raise NetpbmError(f"{path}: {exc}") from None
-    return w, rest, head[pos + 1:]
+    return head[:2], w, head[pos + 1:]
 
 
 def _raster(fh, start: bytes, shape: tuple[int, int], path) -> np.ndarray:
@@ -92,13 +94,21 @@ def _raster(fh, start: bytes, shape: tuple[int, int], path) -> np.ndarray:
     return raster
 
 
+def _read(path, magics: tuple[bytes, ...]) -> tuple[str, np.ndarray]:
+    """Open ``path`` once and read an image whose magic is one of ``magics``:
+    ("gray", uint8 image) for P5, ("binary", 0/1 image) for P4."""
+    with open(path, "rb") as fh:
+        magic, n, start = _header(fh, magics, path)
+        if magic == b"P5":
+            return "gray", _raster(fh, start, (n, n), path)
+        rows = _raster(fh, start, (n, (n + 7) // 8), path)
+    # P4 rows are padded to byte boundaries, bits packed MSB-first
+    return "binary", np.unpackbits(rows, axis=1, count=n)
+
+
 def read_gray(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 255) square image as uint8."""
-    with open(path, "rb") as fh:
-        n, (maxval,), start = _header(fh, b"P5", ("width", "height", "maxval"), path)
-        if maxval != 255:
-            raise NetpbmError(f"{path}: maxval must be 255 (8-bit), got {maxval}")
-        return _raster(fh, start, (n, n), path)
+    return _read(path, (b"P5",))[1]
 
 
 def write_gray(path, img: np.ndarray) -> None:
@@ -111,11 +121,7 @@ def write_gray(path, img: np.ndarray) -> None:
 
 def read_binary(path) -> np.ndarray:
     """Read a binary PBM (P4) square image as a 0/1 uint8 array."""
-    with open(path, "rb") as fh:
-        n, _, start = _header(fh, b"P4", ("width", "height"), path)
-        rows = _raster(fh, start, (n, (n + 7) // 8), path)
-    # rows are padded to byte boundaries, bits packed MSB-first
-    return np.unpackbits(rows, axis=1, count=n)
+    return _read(path, (b"P4",))[1]
 
 
 def write_binary(path, img: np.ndarray) -> None:
@@ -128,10 +134,4 @@ def write_binary(path, img: np.ndarray) -> None:
 
 def read_auto(path) -> tuple[str, np.ndarray]:
     """Read either supported format; returns ("gray", img) or ("binary", img)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        return "gray", read_gray(path)
-    if magic == b"P4":
-        return "binary", read_binary(path)
-    raise NetpbmError(f"{path}: bad magic number {magic!r}, expected P4 or P5")
+    return _read(path, (b"P4", b"P5"))

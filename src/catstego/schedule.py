@@ -27,18 +27,16 @@ from .arnold import (
     _as_int,
     _decimal,
     _mul,
+    _pow,
     _reduce,
-    _stage_power,
     check_side,
-    gather,
     grid_side,
+    matrix_for,
     period,
-    scatter,
 )
 
-# perfbench/spans.py counts per-stage scatters through these names, which
-# keeps that count at 0 instead of dropping it from the report
-from .arnold import scramble, unscramble  # noqa: F401
+# called through these module names, so a tracer can rebind them (perfbench/spans.py)
+from .arnold import gather as unscramble, scatter as scramble
 
 
 class KeyFormatError(ValueError):
@@ -53,7 +51,7 @@ class Stage:
     def __post_init__(self):
         t = _as_int(self.t, "iteration count t")
         if t < 0:
-            raise ValueError(f"iteration count t must be >= 0, got {t}")
+            raise ValueError(f"iteration count t must be >= 0, got {t!s:.32}")
         object.__setattr__(self, "t", t)
 
 
@@ -71,7 +69,7 @@ class ScrambleSchedule:
         order = tuple(_as_int(j, "order entry") for j in self.order)
         if sorted(order) != list(range(len(stages))):
             raise ValueError(
-                f"order {order} is not a permutation of 0..{len(stages) - 1}"
+                f"order {order!s:.32} is not a permutation of 0..{len(stages) - 1}"
             )
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "stages", stages)
@@ -90,20 +88,20 @@ def composite_matrix(sched: ScrambleSchedule) -> tuple[int, int, int, int]:
     acc = _reduce(_IDENT, sched.side)
     for j in sched.order:
         stage = sched.stages[j]
-        acc = _mul(_stage_power(stage.spec, stage.t, sched.side), acc, sched.side)
+        acc = _mul(_pow(matrix_for(stage.spec), stage.t, sched.side), acc, sched.side)
     return acc
 
 
 def schedule_scramble(msg: np.ndarray, sched: ScrambleSchedule) -> np.ndarray:
     """Apply every stage in application order, as one scatter."""
     _check_side(msg, sched)
-    return scatter(msg, composite_matrix(sched))
+    return scramble(msg, composite_matrix(sched))
 
 
 def schedule_unscramble(scrambled: np.ndarray, sched: ScrambleSchedule) -> np.ndarray:
     """Invert every stage in reverse application order, as one gather."""
     _check_side(scrambled, sched)
-    return gather(scrambled, composite_matrix(sched))
+    return unscramble(scrambled, composite_matrix(sched))
 
 
 # -- key file ------------------------------------------------------------------
@@ -113,7 +111,7 @@ def check_planes(planes) -> list[int]:
     planes = [_as_int(p, "plane index") for p in planes]
     for p in planes:
         if not 0 <= p <= 7:
-            raise ValueError(f"plane index must be in [0, 7], got {p}")
+            raise ValueError(f"plane index must be in [0, 7], got {p!s:.32}")
     if len(set(planes)) != len(planes):
         raise ValueError(f"duplicate plane index in {planes}")
     return planes
@@ -161,7 +159,7 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
         raise KeyFormatError(f"line {lineno}: M line needs exactly one value")
     m = _on_line(lineno, _decimal, toks[1], "stage count")
     if m < 1:
-        raise KeyFormatError(f"line {lineno}: stage count must be >= 1, got {m}")
+        raise KeyFormatError(f"line {lineno}: stage count must be >= 1, got {m!s:.32}")
 
     stages = []
     for _ in range(m):

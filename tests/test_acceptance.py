@@ -14,15 +14,16 @@ from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 
-from catstego.arnold import Family, TransformSpec, matrix_for, period, scramble
+from catstego.arnold import Family, TransformSpec, matrix_for, period
 from catstego.bitplane import embed, extract
 from catstego.cli import main
-from catstego.metrics import bit_agreement, bit_preservation_ratio, mse, psnr
+from catstego.metrics import bit_preservation_ratio, mse, psnr
 from catstego.netpbm import read_binary, write_binary, write_gray
 from catstego.schedule import (
     ScrambleSchedule,
     Stage,
     random_schedule,
+    schedule_scramble,
     serialize_key,
 )
 from catstego.synth import natural_binary, natural_gray
@@ -30,6 +31,11 @@ from oracles import AI, BI, CI, I3, composite_matrix, orbit_period
 
 CLASSIC = TransformSpec(Family.CLASSIC)
 ROW3 = TransformSpec(Family.ROWFIRST, 3)
+
+
+def scramble(grid, spec, t):
+    """``t`` steps of one transform, run as a one-stage schedule."""
+    return schedule_scramble(grid, ScrambleSchedule(len(grid), (Stage(spec, t),), (0,)))
 
 
 @contextmanager
@@ -174,7 +180,7 @@ def test_criterion_5_security_properties():
             cover = natural_gray(n, seed=400 + attempt)
             stego = embed(cover, [msg], true_key, [0])
             recovered = extract(stego, wrong_key, [0])[0]
-            agreement = bit_agreement(recovered, msg)
+            agreement = float(np.mean(recovered == msg))
             assert 0.35 <= agreement <= 0.65, (attempt, agreement)
             done += 1
 

@@ -11,14 +11,31 @@ from catstego.arnold import (
     matrix_for,
     matrix_period,
     period,
-    period_sweep,
-    scramble,
-    unscramble,
+)
+from catstego.schedule import (
+    ScrambleSchedule,
+    Stage,
+    schedule_scramble,
+    schedule_unscramble,
 )
 from oracles import AI, BI, CI, I3, apply_once, orbit_period
 
 CLASSIC = TransformSpec(Family.CLASSIC)
 ROW3 = TransformSpec(Family.ROWFIRST, 3)
+
+
+def _one_stage(grid, spec, t):
+    """A single stage is a one-stage schedule, so these tests run the CLI's path."""
+    return ScrambleSchedule(len(grid), (Stage(spec, t),), (0,))
+
+
+def scramble(grid, spec, t):
+    return schedule_scramble(grid, _one_stage(grid, spec, t))
+
+
+def unscramble(grid, spec, t):
+    return schedule_unscramble(grid, _one_stage(grid, spec, t))
+
 
 families = st.sampled_from(list(Family))
 specs = st.builds(TransformSpec, families, st.integers(1, 10))
@@ -247,20 +264,3 @@ def test_period_matches_orbit_oracle(family, i, n):
 def test_matrix_period_on_raw_matrix():
     assert matrix_period((3, 4, 1, 1), 3) == 8
 
-
-def test_period_sweep_known_points():
-    assert period_sweep(Family.ROWFIRST, 3, 3, 3) == [(3, 8)]
-    assert period_sweep(Family.COLFIRST, 1, 1, 3) == [(1, 4)]
-
-
-def test_period_sweep_range_validation():
-    with pytest.raises(ValueError):
-        period_sweep(Family.ROWFIRST, 5, 2, 16)
-    with pytest.raises(ValueError):
-        period_sweep(Family.ROWFIRST, 0, 2, 16)
-
-
-def test_period_sweep_covers_range():
-    rows = period_sweep(Family.COLFIRST, 1, 20, 128)
-    assert [i for i, _ in rows] == list(range(1, 21))
-    assert all(p >= 1 for _, p in rows)

@@ -186,6 +186,19 @@ def test_sweep_stdout_and_file(tmp_path, capsys):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def test_sweep_known_points(capsys):
+    assert main(["sweep", "rowfirst", "3", "3", "3"]) == 0
+    assert capsys.readouterr().out == "i,period\n3,8\n"
+    assert main(["sweep", "colfirst", "1", "1", "3"]) == 0
+    assert capsys.readouterr().out == "i,period\n1,4\n"
+
+
+@pytest.mark.parametrize("lo, hi", [("5", "2"), ("0", "2")])
+def test_sweep_refuses_a_bad_range(lo, hi, capsys):
+    assert main(["sweep", "rowfirst", lo, hi, "16"]) == 1
+    assert capsys.readouterr().err == f"error: need 1 <= lo <= hi, got [{lo}, {hi}]\n"
+
+
 def test_planes_command(tmp_path):
     img = natural_gray(16, seed=52)
     write_gray(tmp_path / "img.pgm", img)
@@ -308,6 +321,33 @@ def test_scramble_direction_resolved_at_call_time(workspace, monkeypatch):
     assert main(["unscramble", str(ws / "s.pgm"), str(ws / "key.txt"),
                  str(ws / "u.pgm")]) == 0
     assert calls == ["schedule_scramble", "schedule_unscramble"]
+
+
+def test_each_command_scatters_once(workspace, monkeypatch):
+    # every stage and plane of a key shares one permutation, so each command
+    # moves the pixels through exactly one scatter or gather
+    calls = []
+    for name in ("scramble", "unscramble"):
+        orig = getattr(catstego.schedule, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(catstego.schedule, name, counted)
+    ws = workspace
+    key, msgs = str(ws / "key.txt"), [str(ws / "msg0.pbm"), str(ws / "msg1.pbm")]
+    runs = [
+        (["embed", str(ws / "cover.pgm"), key, str(ws / "stego.pgm"), *msgs], "scramble"),
+        (["extract", str(ws / "stego.pgm"), key, str(ws / "o0.pbm"), str(ws / "o1.pbm")],
+         "unscramble"),
+        (["scramble", str(ws / "cover.pgm"), key, str(ws / "s.pgm")], "scramble"),
+        (["unscramble", str(ws / "s.pgm"), key, str(ws / "u.pgm")], "unscramble"),
+    ]
+    for argv, direction in runs:
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [direction], argv[0]
 
 
 def test_calls_leak_no_state_into_later_calls(workspace):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catstego.arnold import MAX_SIDE
+from catstego.arnold import MAX_SIDE, Family, TransformSpec
+from catstego.cli import main
 from catstego.netpbm import (
     NetpbmError,
     atomic_write_bytes,
@@ -20,6 +21,7 @@ from catstego.netpbm import (
     write_binary,
     write_gray,
 )
+from catstego.schedule import ScrambleSchedule, Stage, schedule_scramble, serialize_key
 
 
 def _gray(n, seed=0):
@@ -118,6 +120,10 @@ def test_maxval_other_than_255_rejected(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(NetpbmError, match="maxval"):
         read_gray(path)
+    path.write_bytes(b"P5\n2 2\n" + b"7" * 4300 + b"\n" + bytes(4))
+    with pytest.raises(NetpbmError) as err:
+        read_gray(path)
+    assert str(err.value) == f"{path}: maxval must be 255 (8-bit), got {'7' * 32}"
 
 
 def test_non_square_rejected_on_read(tmp_path):
@@ -125,6 +131,11 @@ def test_non_square_rejected_on_read(tmp_path):
     path.write_bytes(b"P5\n100 128\n255\n" + bytes(100 * 128))
     with pytest.raises(NetpbmError, match="square"):
         read_gray(path)
+    # a huge parsed integer is echoed as at most 32 characters
+    path.write_bytes(b"P5 " + b"1" * 4300 + b" 4 255\n" + bytes(16))
+    with pytest.raises(NetpbmError) as err:
+        read_gray(path)
+    assert str(err.value) == f"{path}: image must be square, got {'1' * 32}x4"
 
 
 def test_non_square_rejected_on_write(tmp_path):
@@ -167,6 +178,10 @@ def test_zero_dimension_rejected(tmp_path):
     path.write_bytes(b"P5 -4 -4 255\n" + bytes(16))
     with pytest.raises(NetpbmError, match="image dimensions must be positive, got -4x-4"):
         read_gray(path)
+    path.write_bytes(b"P4 0 " + b"1" * 4300 + b"\n")
+    with pytest.raises(NetpbmError) as err:
+        read_binary(path)
+    assert str(err.value) == f"{path}: image dimensions must be positive, got 0x{'1' * 32}"
 
 
 def test_side_above_limit_rejected_before_the_raster(tmp_path):
@@ -177,6 +192,11 @@ def test_side_above_limit_rejected_before_the_raster(tmp_path):
     path.write_bytes(f"P4\n{MAX_SIDE + 1} {MAX_SIDE + 1}\n".encode())
     with pytest.raises(NetpbmError, match="exceeds the limit"):
         read_binary(path)
+    side = b"1" * 4300
+    path.write_bytes(b"P5 " + side + b" " + side + b" 255\n")
+    with pytest.raises(NetpbmError) as err:
+        read_gray(path)
+    assert str(err.value) == f"{path}: side {'1' * 32} exceeds the limit of {MAX_SIDE}"
 
 
 def test_oversized_header_refused_without_reading_the_raster(tmp_path):
@@ -284,9 +304,8 @@ def test_long_width_token_echo_is_truncated(tmp_path):
     assert str(err.value) == f"{path}: width is not an integer: {b'x' * 32!r}"
 
 
-def test_header_split_across_pipe_writes(tmp_path):
-    img = _gray(9, seed=9)
-    parts = [b"P5\n# a comm", b"ent\n9", b" 9\n25", b"5\n" + img.tobytes()]
+def _from_pipe(parts, read):
+    """``read`` a /dev/fd path whose writer sends ``parts`` in separate writes."""
     r, w = os.pipe()
 
     def writer():
@@ -298,10 +317,36 @@ def test_header_split_across_pipe_writes(tmp_path):
     thread = threading.Thread(target=writer)
     thread.start()
     try:
-        assert np.array_equal(read_gray(f"/dev/fd/{r}"), img)
+        return read(f"/dev/fd/{r}")
     finally:
         thread.join()
         os.close(r)
+
+
+def test_header_split_across_pipe_writes():
+    img = _gray(9, seed=9)
+    parts = [b"P5\n# a comm", b"ent\n9", b" 9\n25", b"5\n" + img.tobytes()]
+    assert np.array_equal(_from_pipe(parts, read_gray), img)
+
+
+def test_read_auto_opens_a_pipe_once():
+    img = _gray(9, seed=12)
+    kind, got = _from_pipe([b"P5\n9 9\n255\n", img.tobytes()], read_auto)
+    assert kind == "gray" and np.array_equal(got, img)
+    bits = _bits(9, seed=12)
+    kind, got = _from_pipe([b"P4\n9 9\n", np.packbits(bits, axis=1).tobytes()], read_auto)
+    assert kind == "binary" and np.array_equal(got, bits)
+
+
+def test_cli_scramble_reads_a_pipe(tmp_path):
+    img = _gray(9, seed=13)
+    sched = ScrambleSchedule(9, (Stage(TransformSpec(Family.ROWFIRST, 2), 5),), (0,))
+    key = tmp_path / "key.txt"
+    key.write_text(serialize_key(sched, [0]))
+    out = tmp_path / "s.pgm"
+    parts = [b"P5\n9 9\n255\n", img.tobytes()]
+    assert _from_pipe(parts, lambda path: main(["scramble", path, str(key), str(out)])) == 0
+    assert np.array_equal(read_gray(out), schedule_scramble(img, sched))
 
 
 def test_raster_larger_than_the_first_read(tmp_path):

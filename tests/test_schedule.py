@@ -231,12 +231,28 @@ def test_empty_planes_line_allowed():
         ("N -8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n", "line 1: side must be >= 1, got -8"),
         ("N 8\nM 1\nSTAGE CLASSIC 1 -3\nORDER 0\nPLANES 0\n",
          "line 3: iteration count t must be >= 0, got -3"),
+        # a range message echoes at most 32 characters of a huge integer
+        (f"N {'9' * 4300}\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
+         f"line 1: side {'9' * 32} exceeds the limit of {MAX_SIDE}"),
+        (f"N -{'9' * 4300}\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
+         f"line 1: side must be >= 1, got -{'9' * 31}"),
+        (f"N 8\nM -{'9' * 4300}\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
+         f"line 2: stage count must be >= 1, got -{'9' * 31}"),
+        (f"N 8\nM 1\nSTAGE ROWFIRST -{'9' * 4300} 1\nORDER 0\nPLANES 0\n",
+         f"line 3: parameter i must be >= 1, got -{'9' * 31}"),
+        (f"N 8\nM 1\nSTAGE CLASSIC 1 -{'9' * 4300}\nORDER 0\nPLANES 0\n",
+         f"line 3: iteration count t must be >= 0, got -{'9' * 31}"),
+        (f"N 8\nM 1\nSTAGE CLASSIC 1 1\nORDER {'9' * 4300}\nPLANES 0\n",
+         f"line 4: order ({'9' * 31} is not a permutation of 0..0"),
+        (f"N 8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES {'9' * 4300}\n",
+         f"line 5: plane index must be in [0, 7], got {'9' * 32}"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(KeyFormatError) as err:
         parse_key(text)
     assert fragment in str(err.value)
+    assert len(str(err.value)) < 120
 
 
 def test_key_side_limit():
