@@ -25,14 +25,15 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
 
     for family in (Family.ROWFIRST, Family.COLFIRST):
-        rows = [(i, period(TransformSpec(family, i), args.side))
-                for i in range(args.lo, args.hi + 1)]
         path = outdir / f"periods_{family.value.lower()}_n{args.side}.csv"
+        periods = set()  # rows go straight to the file, so memory does not grow with the range
         with open(path, "w", encoding="ascii") as fh:
             fh.write("i,period\n")
-            for i, p in rows:
+            for i in range(args.lo, args.hi + 1):
+                p = period(TransformSpec(family, i), args.side)
                 fh.write(f"{i},{p}\n")
-        distinct = sorted({p for _, p in rows})
+                periods.add(p)
+        distinct = sorted(periods)
         print(f"{family.value}: i={args.lo}..{args.hi}, N={args.side}")
         print(f"  wrote {path}")
         print(f"  distinct periods: {distinct}")

@@ -51,19 +51,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if args.raw and args.unpack:
-        raise ValueError("--raw and --unpack cannot be combined")
     stego = netpbm.read_gray(args.stego)
     sched, planes = _load_key(args.key)
     if len(args.outputs) != len(planes):
         raise ValueError(
             f"{len(args.outputs)} output files but key lists {len(planes)} planes"
         )
-    if args.raw:
-        # the no-key view: scrambled plane content, straight off the image
-        for path, p in zip(args.outputs, planes):
-            netpbm.write_binary(path, bitplane.get_plane(stego, p))
-        return 0
     for path, msg in zip(args.outputs, bitplane.extract(stego, sched, planes)):
         if args.unpack:
             netpbm.atomic_write_bytes(path, bitplane.unpack_payload(msg))
@@ -88,19 +81,6 @@ def cmd_scramble(args) -> int:
 
 def cmd_period(args) -> int:
     print(period(TransformSpec(args.family, args.i), args.side))
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    if not 1 <= args.lo <= args.hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{args.lo}, {args.hi}]")
-    rows = (f"{i},{period(TransformSpec(args.family, i), args.side)}\n"
-            for i in range(args.lo, args.hi + 1))
-    text = "i,period\n" + "".join(rows)
-    if args.out is None:
-        print(text, end="")
-    else:
-        netpbm.atomic_write_bytes(args.out, text.encode("ascii"))
     return 0
 
 
@@ -149,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stego", help="stego image (P5 .pgm)")
     p.add_argument("key", help="key file")
     p.add_argument("outputs", nargs="+", help="output paths, one per key plane")
-    p.add_argument("--raw", action="store_true",
-                   help="write raw plane content without unscrambling")
     p.add_argument("--unpack", action="store_true",
                    help="unpack each recovered plane back into raw bytes")
     p.set_defaults(func=cmd_extract)
@@ -170,14 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("side", type=int, help="grid side N")
     p.add_argument("--i", type=int, default=1, help="family parameter i (default 1)")
     p.set_defaults(func=cmd_period)
-
-    p = sub.add_parser("sweep", help="period table over a range of i values")
-    p.add_argument("family", type=_family, help="classic, rowfirst, or colfirst")
-    p.add_argument("lo", type=int, help="first i")
-    p.add_argument("hi", type=int, help="last i")
-    p.add_argument("side", type=int, help="grid side N")
-    p.add_argument("--out", help="CSV path (default: print to stdout)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("planes", help="slice an image into its 8 bit planes")
     p.add_argument("image", help="grayscale image (P5 .pgm)")

@@ -8,9 +8,13 @@ measurements; nothing here is tuned to the implementation under test.
 
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from catstego.schedule import (
 from catstego.synth import natural_binary, natural_gray
 from oracles import AI, BI, CI, I3, composite_matrix, orbit_period
 
+ROOT = Path(__file__).resolve().parents[1]
 CLASSIC = TransformSpec(Family.CLASSIC)
 ROW3 = TransformSpec(Family.ROWFIRST, 3)
 
@@ -216,15 +221,20 @@ def test_criterion_6_plane_locality_invariants():
 
 def test_criterion_7_period_sweep_csv_vs_oracle(tmp_path):
     with criterion(7, "period sweep CSV vs orbit oracle", 60.0):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "period_sweep_report.py"),
+             "--side", "128", "--lo", "1", "--hi", "20", "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
         for family in (Family.ROWFIRST, Family.COLFIRST):
-            out = tmp_path / f"sweep_{family.value.lower()}.csv"
-            rc = main(["sweep", family.value.lower(), "1", "20", "128",
-                       "--out", str(out)])
-            assert rc == 0
+            out = tmp_path / f"periods_{family.value.lower()}_n128.csv"
             lines = out.read_text().splitlines()
             assert lines[0] == "i,period"
             assert len(lines) == 21
-            for line in lines[1:]:
+            for expected_i, line in enumerate(lines[1:], start=1):
                 i, p = map(int, line.split(","))
+                assert i == expected_i
                 m = matrix_for(TransformSpec(family, i))
                 assert p == orbit_period(*m, 128), (family, i)

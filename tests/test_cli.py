@@ -18,7 +18,7 @@ from catstego.schedule import (
     schedule_scramble,
     serialize_key,
 )
-from catstego.arnold import MAX_SIDE, Family, TransformSpec, period
+from catstego.arnold import MAX_SIDE, Family, TransformSpec
 from catstego.synth import natural_binary, natural_gray
 
 
@@ -87,13 +87,12 @@ def test_extract_raw_gives_scrambled_planes(workspace):
     ws = workspace
     main(["embed", str(ws / "cover.pgm"), str(ws / "key.txt"),
           str(ws / "stego.pgm"), str(ws / "msg0.pbm"), str(ws / "msg1.pbm")])
-    rc = main(["extract", "--raw", str(ws / "stego.pgm"), str(ws / "key.txt"),
-               str(ws / "raw0.pbm"), str(ws / "raw1.pbm")])
+    rc = main(["planes", str(ws / "stego.pgm"), str(ws / "raw")])
     assert rc == 0
     stego = read_gray(ws / "stego.pgm")
     sched, planes = parse_key((ws / "key.txt").read_text())
     for k, p in enumerate(planes):
-        raw = read_binary(ws / f"raw{k}.pbm")
+        raw = read_binary(ws / "raw" / f"plane_{p}.pbm")
         assert np.array_equal(raw, get_plane(stego, p))
         msg = read_binary(ws / f"msg{k}.pbm")
         assert np.array_equal(raw, schedule_scramble(msg, sched))
@@ -126,10 +125,9 @@ def test_raw_packed_plane_shows_the_payload_weight(tmp_path):
     (tmp_path / "secret.bin").write_bytes(secret)
     assert main(["embed", "--pack", str(tmp_path / "cover.pgm"), str(tmp_path / "key.txt"),
                  str(tmp_path / "stego.pgm"), str(tmp_path / "secret.bin")]) == 0
-    assert main(["extract", "--raw", str(tmp_path / "stego.pgm"), str(tmp_path / "key.txt"),
-                 str(tmp_path / "raw.pbm")]) == 0
+    assert main(["planes", str(tmp_path / "stego.pgm"), str(tmp_path / "raw")]) == 0
     framed = len(secret).to_bytes(4, "big") + secret
-    ones = int(read_binary(tmp_path / "raw.pbm").sum())
+    ones = int(read_binary(tmp_path / "raw" / "plane_0.pbm").sum())
     assert ones == sum(bin(b).count("1") for b in framed)
 
 
@@ -151,6 +149,8 @@ def test_period_command(capsys):
     assert capsys.readouterr().out.strip() == "4"
     assert main(["period", "rowfirst", "3", "--i", "3"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+    assert main(["period", "colfirst", "3", "--i", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "4"
     main(["period", "colfirst", "5", "--i", "1"])
     col = capsys.readouterr().out.strip()
     main(["period", "classic", "5"])
@@ -160,7 +160,6 @@ def test_period_command(capsys):
 @pytest.mark.parametrize("argv", [
     ["period", "classic", "1000000007"],
     ["period", "rowfirst", str(MAX_SIDE + 1), "--i", "20"],
-    ["sweep", "colfirst", "1", "3", str(MAX_SIDE + 1)],
     ["keygen", str(MAX_SIDE + 1), "2", "key.txt", "--seed", "1"],
 ])
 def test_side_above_limit_fails_fast(argv, tmp_path, monkeypatch, capsys):
@@ -170,33 +169,6 @@ def test_side_above_limit_fails_fast(argv, tmp_path, monkeypatch, capsys):
     assert time.perf_counter() - start < 1.0
     assert f"exceeds the limit of {MAX_SIDE}" in capsys.readouterr().err
     assert not (tmp_path / "key.txt").exists()
-
-
-def test_sweep_stdout_and_file(tmp_path, capsys):
-    assert main(["sweep", "rowfirst", "1", "5", "16"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "i,period"
-    assert len(lines) == 6
-    for line, i in zip(lines[1:], range(1, 6)):
-        got_i, got_p = map(int, line.split(","))
-        assert got_i == i
-        assert got_p == period(TransformSpec(Family.ROWFIRST, i), 16)
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "rowfirst", "1", "5", "16", "--out", str(out)]) == 0
-    assert out.read_text() == "\n".join(lines) + "\n"
-
-
-def test_sweep_known_points(capsys):
-    assert main(["sweep", "rowfirst", "3", "3", "3"]) == 0
-    assert capsys.readouterr().out == "i,period\n3,8\n"
-    assert main(["sweep", "colfirst", "1", "1", "3"]) == 0
-    assert capsys.readouterr().out == "i,period\n1,4\n"
-
-
-@pytest.mark.parametrize("lo, hi", [("5", "2"), ("0", "2")])
-def test_sweep_refuses_a_bad_range(lo, hi, capsys):
-    assert main(["sweep", "rowfirst", lo, hi, "16"]) == 1
-    assert capsys.readouterr().err == f"error: need 1 <= lo <= hi, got [{lo}, {hi}]\n"
 
 
 def test_planes_command(tmp_path):
@@ -250,14 +222,6 @@ def test_keygen_rejects_zero_stages(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_raw_and_unpack_conflict(workspace, capsys):
-    ws = workspace
-    rc = main(["extract", "--raw", "--unpack", str(ws / "cover.pgm"),
-               str(ws / "key.txt"), str(ws / "a"), str(ws / "b")])
-    assert rc == 1
-    assert "cannot be combined" in capsys.readouterr().err
-
-
 def test_missing_file_fails_cleanly(tmp_path, capsys):
     rc = main(["metrics", str(tmp_path / "nope.pgm"), str(tmp_path / "nope.pgm")])
     assert rc == 1
@@ -289,7 +253,7 @@ def test_outputs_get_umask_default_permissions(workspace, umask_027):
         "payload0.bin": ["extract", "--unpack", str(ws / "packed.pgm"), key,
                          str(ws / "payload0.bin"), str(ws / "payload1.bin")],
         "scrambled.pgm": ["scramble", cover, key, str(ws / "scrambled.pgm")],
-        "sweep.csv": ["sweep", "classic", "1", "2", "8", "--out", str(ws / "sweep.csv")],
+        "planes/plane_0.pbm": ["planes", cover, str(ws / "planes")],
     }
     for name, argv in runs.items():
         assert main(argv) == 0
@@ -352,11 +316,15 @@ def test_each_command_scatters_once(workspace, monkeypatch):
 
 def test_calls_leak_no_state_into_later_calls(workspace):
     ws = workspace
-    main(["embed", str(ws / "cover.pgm"), str(ws / "key.txt"),
+    key = str(ws / "key.txt")
+    (ws / "secret.bin").write_bytes(b"payload")
+    main(["embed", "--pack", str(ws / "cover.pgm"), key, str(ws / "packed.pgm"),
+          str(ws / "secret.bin"), str(ws / "secret.bin")])
+    main(["embed", str(ws / "cover.pgm"), key,
           str(ws / "stego.pgm"), str(ws / "msg0.pbm"), str(ws / "msg1.pbm")])
     outs = [str(ws / "out0.pbm"), str(ws / "out1.pbm")]
-    assert main(["extract", "--raw", str(ws / "stego.pgm"), str(ws / "key.txt"), *outs]) == 0
-    assert main(["extract", str(ws / "stego.pgm"), str(ws / "key.txt"), *outs]) == 0
+    assert main(["extract", "--unpack", str(ws / "packed.pgm"), key, *outs]) == 0
+    assert main(["extract", str(ws / "stego.pgm"), key, *outs]) == 0
     for k in range(2):
         assert np.array_equal(read_binary(outs[k]), read_binary(ws / f"msg{k}.pbm"))
     key = ws / "k.txt"
