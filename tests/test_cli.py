@@ -160,6 +160,7 @@ def test_period_command(capsys):
 @pytest.mark.parametrize("argv", [
     ["period", "classic", "1000000007"],
     ["period", "rowfirst", str(MAX_SIDE + 1), "--i", "20"],
+    ["period", "colfirst", str(MAX_SIDE + 1), "--i", "1"],
     ["keygen", str(MAX_SIDE + 1), "2", "key.txt", "--seed", "1"],
 ])
 def test_side_above_limit_fails_fast(argv, tmp_path, monkeypatch, capsys):
