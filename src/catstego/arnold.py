@@ -188,12 +188,12 @@ def _shears(m: tuple, n: int) -> list[tuple[int, int] | None]:
     return kept
 
 
-def _lower(g: np.ndarray, u: int, k: int) -> np.ndarray:
-    """Scatter by [u 0; k 1]: row x of the result is row x/u of g rotated
-    right by k*x/u, one window of [g g] per row."""
-    n = g.shape[0]
+def _lower(gg: np.ndarray, u: int, k: int) -> np.ndarray:
+    """Scatter g by [u 0; k 1], given gg = [g g]: row x of the result is row
+    x/u of g rotated right by k*x/u, one window of gg per row."""
+    n = gg.shape[0]
     src = np.arange(n) * pow(u, -1, n) % n
-    windows = sliding_window_view(np.concatenate((g, g), axis=1), n, axis=1)
+    windows = sliding_window_view(gg, n, axis=1)
     return windows[src, -k * src % n]
 
 
@@ -216,7 +216,12 @@ def scatter(grid: np.ndarray, m: tuple) -> np.ndarray:
     grid = np.asarray(grid)
     g = grid
     for step in _shears(m, grid_side(grid)):
-        g = _transpose(g) if step is None else _lower(g, *step)
+        if step is None:
+            g = _transpose(g)
+        else:
+            # rebinding g to [g g] frees an intermediate before the row gather
+            g = np.concatenate((g, g), axis=1)
+            g = _lower(g, *step)
     return grid.copy(order="C") if g is grid else g
 
 

@@ -7,6 +7,8 @@ leaves every other plane untouched, which is what makes extraction exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .arnold import _as_int, check_side, grid_side
@@ -50,7 +52,7 @@ def _plane_mask(planes: list[int]) -> np.uint8:
 
 def embed(
     cover: np.ndarray,
-    messages: list[np.ndarray],
+    messages: Iterable[np.ndarray],
     sched: ScrambleSchedule,
     planes: list[int],
 ) -> np.ndarray:
@@ -59,24 +61,29 @@ def embed(
     Message k goes to planes[k]; planes must be distinct and every message
     must match the cover side. Planes not listed stay bit-identical. All
     planes share one permutation, so the messages are packed into one byte
-    per pixel and scrambled together.
+    per pixel and scrambled together. ``messages`` may be any iterable: each
+    message is folded into the packed byte as it arrives and then released,
+    so a generator that reads them one by one holds one at a time.
     """
     cover = as_gray(cover)
     planes = check_planes(planes)
-    if len(messages) != len(planes):
-        raise ValueError(
-            f"{len(messages)} messages but {len(planes)} planes; counts must match"
-        )
     packed = np.zeros(cover.shape, dtype=np.uint8)
-    for msg, p in zip(messages, planes):
-        msg = as_binary(msg)
-        if msg.shape != cover.shape:
-            raise ValueError(
-                f"message side {msg.shape[0]} does not match cover side {cover.shape[0]}"
-            )
-        # a multiply by 2**p, not a shift: numpy does not vectorise uint8 shifts
-        packed |= msg * np.uint8(1 << p)
-    return (cover & ~_plane_mask(planes)) | schedule_scramble(packed, sched)
+    count = 0
+    for msg in messages:
+        if count < len(planes):
+            msg = as_binary(msg)
+            if msg.shape != cover.shape:
+                raise ValueError(
+                    f"message side {msg.shape[0]} does not match cover side {cover.shape[0]}"
+                )
+            # a multiply by 2**p, not a shift: numpy does not vectorise uint8 shifts
+            packed |= msg * np.uint8(1 << planes[count])
+        count += 1
+        del msg  # not kept alive through the next read or the scatter
+    if count != len(planes):
+        raise ValueError(f"{count} messages but {len(planes)} planes; counts must match")
+    # scatter first, so the masked cover is not held through the scatter
+    return schedule_scramble(packed, sched) | (cover & ~_plane_mask(planes))
 
 
 def extract(
@@ -85,7 +92,8 @@ def extract(
     """Read each listed plane and unscramble it back into a message."""
     stego = as_gray(stego)
     planes = check_planes(planes)
-    scrambled = schedule_unscramble(stego & _plane_mask(planes), sched)
+    # the gather moves whole bytes, so the other planes need no mask first
+    scrambled = schedule_unscramble(stego, sched)
     return [(scrambled >> np.uint8(p)) & np.uint8(1) for p in planes]
 
 

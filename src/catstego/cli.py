@@ -37,13 +37,13 @@ def cmd_embed(args) -> int:
         raise ValueError(
             f"{len(args.messages)} message files but key lists {len(planes)} planes"
         )
-    messages = []
-    for path in args.messages:
-        if args.pack:
-            with open(path, "rb") as fh:
-                messages.append(bitplane.pack_payload(fh.read(), cover.shape[0]))
-        else:
-            messages.append(netpbm.read_binary(path))
+    side = cover.shape[0]
+    # read lazily: embed folds each message in before the next file is read
+    messages = (
+        bitplane.pack_payload(Path(path).read_bytes(), side) if args.pack
+        else netpbm.read_binary(path)
+        for path in args.messages
+    )
     stego = bitplane.embed(cover, messages, sched, planes)
     netpbm.write_gray(args.out, stego)
     print(metrics.compare(cover, stego).csv(), end="")

@@ -156,3 +156,34 @@ def reference_embed(cover, messages, sched, planes):
 def reference_extract(stego, sched, planes):
     """Read each plane and unscramble it on its own."""
     return [reference_unscramble((stego >> np.uint8(p)) & np.uint8(1), sched) for p in planes]
+
+
+# -- synthetic imagery ---------------------------------------------------------
+
+
+def _natural_field(side, seed):
+    """The 1/f field in its plain form, one fresh array per operation."""
+    rng = np.random.default_rng(seed)
+    fx = np.fft.fftfreq(side).reshape(-1, 1)
+    fy = np.fft.fftfreq(side).reshape(1, -1)
+    f = np.hypot(fx, fy)
+    f[0, 0] = 1.0  # keep the DC term finite
+    spectrum = (
+        rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    ) / f**1.5
+    return np.fft.ifft2(spectrum).real
+
+
+def natural_gray(side, seed=0):
+    """A 1/f field scaled to [0, 255] and rounded, or all 128 when flat."""
+    field = _natural_field(side, seed)
+    lo, hi = field.min(), field.max()
+    if hi == lo:
+        return np.full((side, side), 128, dtype=np.uint8)
+    return np.round((field - lo) / (hi - lo) * 255).astype(np.uint8)
+
+
+def natural_binary(side, seed=0):
+    """A 1/f field thresholded at its median."""
+    field = _natural_field(side, seed)
+    return (field > np.median(field)).astype(np.uint8)

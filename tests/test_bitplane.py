@@ -15,6 +15,7 @@ from catstego.bitplane import (
     unpack_payload,
 )
 from catstego.schedule import ScrambleSchedule, Stage
+from conftest import traced_peak
 from oracles import reference_embed, reference_extract
 
 SCHED8 = ScrambleSchedule(
@@ -164,6 +165,30 @@ def test_embed_validation():
         embed(cover, [_bits(4)], SCHED8, [0])
     with pytest.raises(ValueError):
         embed(cover, [msg], SCHED8, [8])
+
+
+def test_embed_folds_messages_from_a_generator():
+    cover = _gray(8, seed=5)
+    msgs = [_bits(8, seed=10 + k) for k in range(3)]
+    stego = embed(cover, (m for m in msgs), SCHED8, [0, 1, 2])
+    assert np.array_equal(stego, embed(cover, msgs, SCHED8, [0, 1, 2]))
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_embed_counts_the_messages_of_a_generator(count):
+    msgs = (_bits(8, seed=k) for k in range(count))
+    with pytest.raises(ValueError, match=f"^{count} messages but 3 planes; counts must match$"):
+        embed(_gray(8), msgs, SCHED8, [0, 1, 2])
+
+
+def test_embed_holds_one_generated_message_at_a_time():
+    n = 1024
+    cover = _gray(n, seed=6)
+    sched = ScrambleSchedule(n, SCHED8.stages, SCHED8.order)
+    # the packed byte and the scatter's 3 B/px; a message still held during
+    # the scatter would make it 5
+    messages = (_bits(n, k) for k in range(3))
+    assert traced_peak(embed, cover, messages, sched, [0, 1, 2]) <= 4.5 * n * n
 
 
 def test_low_planes_of_natural_image_look_like_noise():

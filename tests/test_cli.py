@@ -20,6 +20,7 @@ from catstego.schedule import (
 )
 from catstego.arnold import MAX_SIDE, Family, TransformSpec
 from catstego.synth import natural_binary, natural_gray
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -142,6 +143,57 @@ def test_scramble_unscramble_files(workspace):
     assert np.array_equal(read_gray(ws / "u_cover.pgm"), read_gray(ws / "cover.pgm"))
     assert not np.array_equal(read_gray(ws / "s_cover.pgm"), read_gray(ws / "cover.pgm"))
     assert np.array_equal(read_binary(ws / "u_msg0.pbm"), read_binary(ws / "msg0.pbm"))
+
+
+# -- memory per command ------------------------------------------------------------
+
+LARGE = 1024
+COMMANDS = {
+    "embed": "embed cover.pgm key.txt stego.pgm msg0.pbm msg1.pbm msg2.pbm",
+    "embed --pack": "embed --pack cover.pgm key.txt packed.pgm a.bin b.bin c.bin",
+    "extract": "extract stego.pgm key.txt out0.pbm out1.pbm out2.pbm",
+    "scramble": "scramble cover.pgm key.txt scrambled.pgm",
+    "unscramble": "unscramble scrambled.pgm key.txt back.pgm",
+}
+
+
+@pytest.fixture(scope="module")
+def large(tmp_path_factory):
+    """A 1024^2 cover, three messages and payloads, a 4-stage key, and every
+    command run once, so each traced run finds its inputs."""
+    ws = tmp_path_factory.mktemp("large")
+    write_gray(ws / "cover.pgm", natural_gray(LARGE, seed=70))
+    for k, name in enumerate("abc"):
+        write_binary(ws / f"msg{k}.pbm", natural_binary(LARGE, seed=71 + k))
+        (ws / f"{name}.bin").write_bytes(np.random.default_rng(k).bytes(LARGE * LARGE // 8 - 4))
+    assert main(["keygen", str(LARGE), "4", str(ws / "key.txt"), "--seed", "72"]) == 0
+    for command in COMMANDS:
+        assert main(_argv(ws, command)) == 0
+    return ws
+
+
+def _argv(ws, command):
+    """COMMANDS[command] with each file name (a word with a dot) under ws."""
+    return [str(ws / w) if "." in w else w for w in COMMANDS[command].split()]
+
+
+@pytest.mark.parametrize("command, bound", [
+    ("embed", 7), ("embed --pack", 7), ("extract", 6), ("scramble", 5), ("unscramble", 5),
+])
+def test_command_peak_memory_per_pixel(large, command, bound, capsys):
+    argv = _argv(large, command)
+
+    def run():
+        assert main(argv) == 0
+
+    assert traced_peak(run) <= bound * LARGE * LARGE
+    assert capsys.readouterr().err == ""
+
+
+def test_large_commands_round_trip(large):
+    for k in range(3):
+        assert np.array_equal(read_binary(large / f"out{k}.pbm"), read_binary(large / f"msg{k}.pbm"))
+    assert np.array_equal(read_gray(large / "back.pgm"), read_gray(large / "cover.pgm"))
 
 
 def test_period_command(capsys):

@@ -3,13 +3,13 @@ import re
 import tempfile
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from catstego.arnold import MAX_SIDE, Family, TransformSpec
 from catstego.cli import main
 from catstego.netpbm import (
@@ -204,14 +204,12 @@ def test_oversized_header_refused_without_reading_the_raster(tmp_path):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{MAX_SIDE + 1} {MAX_SIDE + 1}\n255\n".encode())
         fh.truncate(fh.tell() + (64 << 20))  # sparse 64 MiB "raster"
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(NetpbmError, match="exceeds the limit"):
             read_gray(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_peak(refused) < 1 << 20
 
 
 def test_long_header_comment_parses(tmp_path):
@@ -254,18 +252,16 @@ def test_atomic_write_replaces_existing(tmp_path):
 
 def _refusal(path):
     """Time one refused read, then measure its traced peak in a second read."""
-    start = time.perf_counter()
-    with pytest.raises(NetpbmError) as err:
-        read_gray(path)
-    elapsed = time.perf_counter() - start
-    tracemalloc.start()
-    try:
-        with pytest.raises(NetpbmError):
+
+    def refused():
+        with pytest.raises(NetpbmError) as err:
             read_gray(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return str(err.value), elapsed, peak
+        return str(err.value)
+
+    start = time.perf_counter()
+    msg = refused()
+    elapsed = time.perf_counter() - start
+    return msg, elapsed, traced_peak(refused)
 
 
 @pytest.mark.parametrize("header", [

@@ -7,13 +7,16 @@ exactly as a single key would, and the key space stays the set of those
 matrices. The attack-side code lives here, not in the package.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from catstego.arnold import Family, TransformSpec, matrix_for
+from catstego.bitplane import embed
 from catstego.schedule import random_schedule, schedule_scramble
+from catstego.synth import natural_binary, natural_gray
 from oracles import composite_matrix, mat_mul, scatter
 
 # the number of det +-1 matrices mod N, counted by brute force
@@ -85,3 +88,73 @@ def test_key_space_is_every_det_pm1_matrix(side):
     reachable = _closure(generators, side)
     assert reachable == _det_pm1_matrices(side)
     assert len(reachable) == _key_space_size(side) == DET_PM1_COUNTS[side]
+
+
+# -- detectability -------------------------------------------------------------
+#
+# Westfeld & Pfitzmann's chi-square pairs-of-values test ("Attacks on
+# steganographic systems", IH 1999) is not used here: a 1/f cover's histogram
+# already has near-equal counts for each value pair (2k, 2k + 1), so the test
+# reads p = 0.82 to 0.998 on the covers below before anything is embedded and
+# cannot tell a cover from a stego image.
+
+
+def _sample_pair_rate(img):
+    """Sample pair analysis (Dumitrescu, Wu & Wang, IEEE Trans. Signal
+    Processing 51(7), 2003): the fraction p of pixels whose LSB carries a
+    message, estimated from horizontally adjacent pairs (u, v) with no key.
+    X holds the pairs with v even and u < v or v odd and u > v, Y the other
+    unequal pairs; a cover has |X| = |Y|. p is the smaller root of
+    (W + Z)/2 p^2 + (2|X| - |P|) p + |Y| - |X| = 0, where W + Z are the pairs
+    equal but for their LSB and P all pairs."""
+    u = img[:, :-1].astype(np.int16)
+    v = img[:, 1:].astype(np.int16)
+    odd = (v & 1).astype(bool)
+    x = np.count_nonzero(np.where(odd, u > v, u < v))
+    y = np.count_nonzero(np.where(odd, u < v, u > v))
+    a, b, c = np.count_nonzero(u >> 1 == v >> 1) / 2, 2 * x - u.size, y - x
+    # near p = 1 the roots meet, and noise can make them complex: keep the real part
+    return (-b - math.sqrt(max(b * b - 4 * a * c, 0))) / (2 * a)
+
+
+@pytest.fixture(scope="module")
+def covers():
+    return [natural_gray(512, 900 + s) for s in range(4)]
+
+
+def _keys(s):
+    return [random_schedule(512, 3, random.Random(10 * s + k)) for k in range(3)]
+
+
+def test_sample_pair_analysis_reads_the_embedding_rate(covers):
+    for s, cover in enumerate(covers):
+        bits = np.random.default_rng(s).integers(0, 2, cover.shape, dtype=np.uint8)
+        stego = embed(cover, [bits], _keys(s)[0], [0])
+        half = np.concatenate((stego[:256], cover[256:]))
+        assert abs(_sample_pair_rate(cover)) <= 0.05
+        assert 0.85 <= _sample_pair_rate(stego) <= 1.1
+        assert 0.4 <= _sample_pair_rate(half) <= 0.6
+
+
+def test_scrambling_leaves_the_estimate_unchanged(covers):
+    # random payload bits stay independent random bits under any permutation,
+    # so every key reads what the bits read unscrambled, within the estimate's
+    # own spread (0.91 to 1.00 over these covers)
+    for s, cover in enumerate(covers):
+        bits = np.random.default_rng(s).integers(0, 2, cover.shape, dtype=np.uint8)
+        plain = _sample_pair_rate((cover & np.uint8(0xFE)) | bits)
+        for key in _keys(s):
+            assert abs(_sample_pair_rate(embed(cover, [bits], key, [0])) - plain) <= 0.15
+
+
+def test_a_smooth_message_shows_once_scrambled(covers):
+    # a natural_binary message is smooth: written as it is, almost every pair
+    # of neighbours gets equal LSBs, which keeps |X| = |Y|, and the estimate
+    # reads -0.11 to 0.12. Scrambled, it reads 0.39 to 1.03 by key (a key
+    # whose inverse moves a horizontal neighbour a short way keeps some of the
+    # smoothness), so the scrambling is what makes the embedding visible
+    for s, cover in enumerate(covers):
+        msg = natural_binary(512, 950 + s)
+        assert abs(_sample_pair_rate((cover & np.uint8(0xFE)) | msg)) <= 0.2
+        for key in _keys(s):
+            assert _sample_pair_rate(embed(cover, [msg], key, [0])) >= 0.3

@@ -1,14 +1,13 @@
 """The shear factorization behind ``arnold.scatter`` and ``arnold.gather``,
 checked against the index-based scatter and gather in oracles.py."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_peak
 from catstego.arnold import _shears, gather, scatter
 
 # 1 and 2 are degenerate rings; 6, 30 and 210 have several prime factors, so
@@ -163,10 +162,4 @@ def test_peak_memory_stays_below_five_bytes_per_pixel(fn, m):
     # (3, 4, 1, 1) has det -1 and an even b, so it takes two transposes
     n = 1024
     g = grid(n, 5)
-    tracemalloc.start()
-    try:
-        fn(g, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * n * n
+    assert traced_peak(fn, g, m) <= 5 * n * n
