@@ -46,10 +46,6 @@ def get_plane(img: np.ndarray, p: int) -> np.ndarray:
     return (img >> p) & np.uint8(1)
 
 
-def _plane_mask(planes: list[int]) -> np.uint8:
-    return np.uint8(sum(1 << p for p in planes))
-
-
 def embed(
     cover: np.ndarray,
     messages: Iterable[np.ndarray],
@@ -83,7 +79,7 @@ def embed(
     if count != len(planes):
         raise ValueError(f"{count} messages but {len(planes)} planes; counts must match")
     # scatter first, so the masked cover is not held through the scatter
-    return schedule_scramble(packed, sched) | (cover & ~_plane_mask(planes))
+    return schedule_scramble(packed, sched) | (cover & ~np.uint8(sum(1 << p for p in planes)))
 
 
 def extract(

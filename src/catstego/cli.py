@@ -1,8 +1,9 @@
 """Command-line surface tying scrambling, embedding, and metrics together.
 
 Exit status is 0 on success, 1 on any validation or I/O failure (with a
-diagnostic on stderr). Output files are written atomically, so a failed run
-never leaves a partial stego image, key, or report behind.
+diagnostic on stderr) and 2 on a command line that argparse refuses. Output
+files are written atomically, so a failed run never leaves a partial stego
+image, key, or report behind.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ def cmd_embed(args) -> int:
         raise ValueError(
             f"{len(args.messages)} message files but key lists {len(planes)} planes"
         )
-    side = cover.shape[0]
     # read lazily: embed folds each message in before the next file is read
     messages = (
-        bitplane.pack_payload(Path(path).read_bytes(), side) if args.pack
+        bitplane.pack_payload(Path(path).read_bytes(), cover.shape[0]) if args.pack
         else netpbm.read_binary(path)
         for path in args.messages
     )

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arnold import grid_side
 from .bitplane import as_gray
 
 PEAK = 255
@@ -21,8 +20,7 @@ def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
-    grid_side(a)
-    return a, b
+    return as_gray(a), as_gray(b)
 
 
 def _db(m: float) -> float:
@@ -31,7 +29,7 @@ def _db(m: float) -> float:
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared intensity difference."""
-    a, b = map(as_gray, _pair(a, b))
+    a, b = _pair(a, b)
     # the integer sum is exact, so one rounding (the division) gives the
     # mean; blocks of rows keep the int16/int32 temporaries cache-sized
     total = 0
@@ -52,7 +50,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 def bit_preservation_ratio(cover: np.ndarray, stego: np.ndarray) -> float:
     """Fraction of all 8 * N * N cover bits left unchanged."""
-    cover, stego = map(as_gray, _pair(cover, stego))
+    cover, stego = _pair(cover, stego)
     diff = np.bitwise_xor(cover, stego, order="C").reshape(-1)
     # popcount 8 pixels per uint64 word, then the < 8 bytes left over
     whole = diff.size - diff.size % 8
@@ -79,6 +77,7 @@ class MetricsReport:
 
 
 def compare(cover: np.ndarray, stego: np.ndarray) -> MetricsReport:
+    cover, stego = _pair(cover, stego)
     m = mse(cover, stego)
     return MetricsReport(
         mse=m,

@@ -141,31 +141,28 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
     lines = ((n, raw.split("#", 1)[0].split()) for n, raw in enumerate(text.splitlines(), 1))
     entries = ((n, toks) for n, toks in lines if toks)
 
-    def take(expected: str) -> tuple[int, list[str]]:
+    def take(expected: str, width: int = 0, needs: str = "exactly one value"):
+        """The next entry; it must be an ``expected`` line of ``width`` tokens, if given."""
         lineno, toks = next(entries, (None, None))
         if lineno is None:
             raise KeyFormatError(f"unexpected end of key: expected {expected} line")
         if toks[0] != expected:
             raise KeyFormatError(f"line {lineno}: expected {expected} line, got {toks[0]!r}")
+        if width and len(toks) != width:
+            raise KeyFormatError(f"line {lineno}: {expected} line needs {needs}")
         return lineno, toks
 
-    lineno, toks = take("N")
-    if len(toks) != 2:
-        raise KeyFormatError(f"line {lineno}: N line needs exactly one value")
+    lineno, toks = take("N", 2)
     side = _on_line(lineno, lambda: check_side(_decimal(toks[1], "side")))
 
-    lineno, toks = take("M")
-    if len(toks) != 2:
-        raise KeyFormatError(f"line {lineno}: M line needs exactly one value")
+    lineno, toks = take("M", 2)
     m = _on_line(lineno, _decimal, toks[1], "stage count")
     if m < 1:
         raise KeyFormatError(f"line {lineno}: stage count must be >= 1, got {m!s:.32}")
 
     stages = []
     for _ in range(m):
-        lineno, toks = take("STAGE")
-        if len(toks) != 4:
-            raise KeyFormatError(f"line {lineno}: STAGE line needs <family> <i> <t>")
+        lineno, toks = take("STAGE", 4, "<family> <i> <t>")
         family = Family.__members__.get(toks[1])
         if family is None:
             raise KeyFormatError(f"line {lineno}: unknown family tag {toks[1]!r}")
@@ -193,31 +190,18 @@ def random_schedule(side: int, m: int, rng: random.Random) -> ScrambleSchedule:
     A draw that composes to the identity would scramble nothing, so it is
     drawn again, except at side 1, where every matrix is the identity.
     """
-    side = _as_int(side, "side")
     m = _as_int(m, "stage count")
+    periods: dict[TransformSpec, int] = {}  # i <= 20, so at most 41 specs
     while True:
         stages = []
         for _ in range(m):
             family = rng.choice(list(Family))
             spec = TransformSpec(family, rng.randint(1, 20))
-            p = period(spec, side)
-            stages.append(Stage(spec, rng.randint(1, max(1, p - 1))))
+            if spec not in periods:
+                periods[spec] = period(spec, side)
+            stages.append(Stage(spec, rng.randint(1, max(1, periods[spec] - 1))))
         order = list(range(m))
         rng.shuffle(order)
         sched = ScrambleSchedule(side, tuple(stages), tuple(order))
         if side == 1 or composite_matrix(sched) != _IDENT:
             return sched
-
-
-__all__ = [
-    "KeyFormatError",
-    "Stage",
-    "ScrambleSchedule",
-    "check_planes",
-    "composite_matrix",
-    "schedule_scramble",
-    "schedule_unscramble",
-    "serialize_key",
-    "parse_key",
-    "random_schedule",
-]

@@ -240,6 +240,15 @@ def test_period_classic_n128():
     assert period(CLASSIC, 128) == 96
 
 
+def test_period_classic_dyson_falk_bound():
+    # Dyson & Falk, "Period of a discrete cat mapping" (Amer. Math. Monthly 99,
+    # 1992): the classic map's period is at most 3N, with equality exactly
+    # when N = 2 * 5**k
+    periods = {n: period(CLASSIC, n) for n in range(2, 601)}
+    assert all(p <= 3 * n for n, p in periods.items())
+    assert [n for n, p in periods.items() if p == 3 * n] == [10, 50, 250]
+
+
 def test_period_n1_is_1():
     assert period(CLASSIC, 1) == 1
     assert period(ROW3, 1) == 1

@@ -154,6 +154,8 @@ COMMANDS = {
     "extract": "extract stego.pgm key.txt out0.pbm out1.pbm out2.pbm",
     "scramble": "scramble cover.pgm key.txt scrambled.pgm",
     "unscramble": "unscramble scrambled.pgm key.txt back.pgm",
+    "metrics": "metrics cover.pgm stego.pgm",
+    "planes": "planes stego.pgm planes.d",
 }
 
 
@@ -179,6 +181,7 @@ def _argv(ws, command):
 
 @pytest.mark.parametrize("command, bound", [
     ("embed", 7), ("embed --pack", 7), ("extract", 6), ("scramble", 5), ("unscramble", 5),
+    ("metrics", 4), ("planes", 3),
 ])
 def test_command_peak_memory_per_pixel(large, command, bound, capsys):
     argv = _argv(large, command)
@@ -194,6 +197,14 @@ def test_large_commands_round_trip(large):
     for k in range(3):
         assert np.array_equal(read_binary(large / f"out{k}.pbm"), read_binary(large / f"msg{k}.pbm"))
     assert np.array_equal(read_gray(large / "back.pgm"), read_gray(large / "cover.pgm"))
+
+
+def test_usage_error_exits_2(capsys):
+    # argparse refuses a malformed command line itself, with status 2
+    with pytest.raises(SystemExit) as exc:
+        main(["period", "classic", "abc"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_period_command(capsys):

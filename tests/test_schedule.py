@@ -310,6 +310,20 @@ def test_random_schedule_terminates_at_side_1():
     assert composite_matrix(sched) == (0, 0, 0, 0)
 
 
+def test_random_schedule_computes_each_period_once(monkeypatch):
+    # i is drawn from 1..20, so one call meets at most 41 distinct specs:
+    # CLASSIC plus 20 each of ROWFIRST and COLFIRST
+    calls = []
+
+    def counted(spec, n):
+        calls.append(spec)
+        return period(spec, n)
+
+    monkeypatch.setattr("catstego.schedule.period", counted)
+    random_schedule(64, 500, random.Random(0))
+    assert len(calls) == len(set(calls)) <= 41
+
+
 def test_random_schedule_rejects_bad_args():
     with pytest.raises(ValueError):
         random_schedule(0, 1, random.Random(0))

@@ -90,6 +90,41 @@ def test_key_space_is_every_det_pm1_matrix(side):
     assert len(reachable) == _key_space_size(side) == DET_PM1_COUNTS[side]
 
 
+# -- known plaintext -------------------------------------------------------------
+#
+# Li, Li, Chen, Bourbakis & Lo ("A general quantitative cryptanalysis of
+# permutation-only multimedia ciphers against plaintext attacks", Signal
+# Processing: Image Communication 23(3), 2008) break any permutation-only
+# cipher with known plaintext. Here one message and its stego image suffice:
+# cell (x, 0) moves to (a*x, c*x) and cell (0, y) to (b*y, d*y), so column 0
+# of the message pins (a, c) and row 0 pins (b, d).
+
+
+def _candidates(plane, known):
+    """Every (p, q) mod n with plane[p*x % n, q*x % n] == known[x] for all x."""
+    n = plane.shape[0]
+    p, q = np.divmod(np.arange(n * n), n)
+    for x in range(n):
+        keep = plane[p * x % n, q * x % n] == known[x]
+        p, q = p[keep], q[keep]
+    return list(zip(p.tolist(), q.tolist()))
+
+
+@pytest.mark.parametrize("side", [128, 512])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_known_message_reveals_the_composite(side, seed):
+    # random bits: a smooth message with a constant first row or column
+    # leaves more than one candidate
+    rng = np.random.default_rng(seed)
+    cover = rng.integers(0, 256, (side, side), dtype=np.uint8)
+    msg = rng.integers(0, 2, (side, side), dtype=np.uint8)
+    key = random_schedule(side, 3, random.Random(seed))
+    plane = embed(cover, [msg], key, [0]) & np.uint8(1)
+    [(a, c)] = _candidates(plane, msg[:, 0])
+    [(b, d)] = _candidates(plane, msg[0, :])
+    assert (a, b, c, d) == composite_matrix(key, side)
+
+
 # -- detectability -------------------------------------------------------------
 #
 # Westfeld & Pfitzmann's chi-square pairs-of-values test ("Attacks on
