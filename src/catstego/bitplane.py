@@ -34,7 +34,8 @@ def as_binary(img: np.ndarray) -> np.ndarray:
     grid_side(a)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"binary image must be integer-valued, got {a.dtype}")
-    if a.max() > 1 or a.min() < 0:
+    # only a signed dtype can hold a value below 0
+    if a.max() > 1 or (a.dtype.kind == "i" and a.min() < 0):
         raise ValueError("binary image values must be 0 or 1")
     return a.astype(np.uint8, copy=False)
 

@@ -29,15 +29,17 @@ class NetpbmError(ValueError):
     """Malformed or unsupported Netpbm content."""
 
 
-def atomic_write_bytes(path, data: bytes, mode: int = 0o666) -> None:
-    """Write ``data`` to ``path`` atomically (temp file in same dir + rename),
-    with ``mode`` less the umask as its permissions; key files pass 0o600."""
+def atomic_write_bytes(path, data, mode: int = 0o666, head: bytes = b"") -> None:
+    """Write ``head`` and then ``data``, both bytes-like, to ``path`` atomically
+    (temp file in same dir + rename), with ``mode`` less the umask as its
+    permissions; key files pass 0o600. Neither is copied to join them."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".tmp.{os.urandom(8).hex()}.part")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, mode)
     try:
         with os.fdopen(fd, "wb") as fh:
+            fh.write(head)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -116,7 +118,7 @@ def write_gray(path, img: np.ndarray) -> None:
     img = as_gray(img)
     n = img.shape[0]
     header = f"P5\n{n} {n}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + np.ascontiguousarray(img).data)
+    atomic_write_bytes(path, np.ascontiguousarray(img).ravel(), head=header)
 
 
 def read_binary(path) -> np.ndarray:
@@ -129,7 +131,7 @@ def write_binary(path, img: np.ndarray) -> None:
     img = as_binary(img)
     n = img.shape[0]
     packed = np.packbits(img, axis=1)
-    atomic_write_bytes(path, f"P4\n{n} {n}\n".encode("ascii") + packed.tobytes())
+    atomic_write_bytes(path, packed.ravel(), head=f"P4\n{n} {n}\n".encode("ascii"))
 
 
 def read_auto(path) -> tuple[str, np.ndarray]:

@@ -406,3 +406,30 @@ def test_module_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "10\n"
+
+
+def test_small_images_start_no_threads(tmp_path):
+    # below the band threshold nothing imports a pool or starts a thread, so
+    # a fresh process pays nothing for the bands of large grids
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = """if True:
+        import sys, threading
+        from catstego.cli import main
+        from catstego.netpbm import write_binary, write_gray
+        from catstego.synth import natural_binary, natural_gray
+
+        write_gray("cover.pgm", natural_gray(128, seed=1))
+        write_binary("msg.pbm", natural_binary(128, seed=2))
+        steps = (["keygen", "128", "4", "key.txt", "--seed", "3", "--planes", "0"],
+                 ["embed", "cover.pgm", "key.txt", "stego.pgm", "msg.pbm"],
+                 ["extract", "stego.pgm", "key.txt", "out.pbm"])
+        assert all(main(argv) == 0 for argv in steps)
+        assert "concurrent.futures" not in sys.modules
+        assert "queue" not in sys.modules
+        assert threading.active_count() == 1
+    """
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out.pbm").read_bytes() == (tmp_path / "msg.pbm").read_bytes()

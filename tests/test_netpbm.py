@@ -392,3 +392,15 @@ def test_zero_padded_header_integers_parse(tmp_path):
     img = _gray(4, seed=11)
     path.write_bytes(b"P5 004 4 0255\n" + img.tobytes())
     assert np.array_equal(read_gray(path), img)
+
+
+def test_writes_do_not_copy_the_raster(tmp_path):
+    # the header and the raster go to the file one after the other, so a
+    # P5 write allocates nothing image-sized and a P4 write only its packed rows
+    n = 1024
+    gray, bits = _gray(n, seed=8), _bits(n, seed=9)
+    assert traced_peak(write_gray, tmp_path / "img.pgm", gray) < 0.01 * n * n
+    assert traced_peak(write_binary, tmp_path / "img.pbm", bits) < 0.135 * n * n
+    assert (tmp_path / "img.pgm").read_bytes() == f"P5\n{n} {n}\n255\n".encode() + gray.tobytes()
+    packed = np.packbits(bits, axis=1).tobytes()
+    assert (tmp_path / "img.pbm").read_bytes() == f"P4\n{n} {n}\n".encode() + packed

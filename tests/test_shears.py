@@ -1,6 +1,14 @@
 """The shear factorization behind ``arnold.scatter`` and ``arnold.gather``,
 checked against the index-based scatter and gather in oracles.py."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import traced_peak
+from catstego import arnold
 from catstego.arnold import _shears, gather, scatter
 
 # 1 and 2 are degenerate rings; 6, 30 and 210 have several prime factors, so
@@ -71,6 +80,10 @@ def factor_product(steps, n):
 @given(sides, words(), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=300)
 def test_scatter_and_gather_match_oracle(n, m, seed):
+    check_against_oracle(n, m, seed)
+
+
+def check_against_oracle(n, m, seed):
     g = grid(n, seed)
     assert np.array_equal(scatter(g, m), oracles.scatter(g, reduced(m, n)))
     assert np.array_equal(gather(g, m), oracles.gather(g, reduced(m, n)))
@@ -140,6 +153,10 @@ def layouts(dtype):
 
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.int64])
 def test_dtypes_and_layouts(dtype):
+    check_layouts(dtype)
+
+
+def check_layouts(dtype):
     for g in layouts(dtype):
         before = g.copy()
         for m in MATRICES:
@@ -163,3 +180,164 @@ def test_peak_memory_stays_below_five_bytes_per_pixel(fn, m):
     n = 1024
     g = grid(n, 5)
     assert traced_peak(fn, g, m) <= 5 * n * n
+
+
+# -- row bands -------------------------------------------------------------------
+#
+# Sides below 1024 run in one band, so these tests lower the threshold to one
+# row and claim 3 cores: every side from 2 up runs in 2 or 3 bands, most of
+# which do not divide the side evenly and hold fewer than 2 * _TILE rows.
+
+
+@contextmanager
+def banded(tile=arnold._TILE, chunk=arnold._CHUNK, band_rows=1, cpus=3):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arnold, "_BAND_ROWS", band_rows)
+        mp.setattr(arnold, "_available_cpus", lambda: cpus)
+        mp.setattr(arnold, "_TILE", tile)
+        mp.setattr(arnold, "_CHUNK", chunk)
+        yield
+
+
+def bands_of(n):
+    seen = []
+    arnold._bands(n, lambda lo, hi: seen.append((lo, hi)))
+    return sorted(seen)
+
+
+def test_bands_cover_every_row_once():
+    with banded():
+        assert bands_of(1) == [(0, 1)]
+        assert bands_of(2) == [(0, 1), (1, 2)]
+        assert bands_of(100) == [(0, 33), (33, 66), (66, 100)]
+        for n in range(2, 301):
+            edges = bands_of(n)
+            assert len(edges) == min(n, 3)
+            assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]]
+            assert edges[-1][1] == n and all(lo < hi for lo, hi in edges)
+
+
+def test_bands_start_at_twice_the_band_rows():
+    with banded(band_rows=arnold._BAND_ROWS, cpus=8):
+        assert bands_of(2 * arnold._BAND_ROWS - 1) == [(0, 2 * arnold._BAND_ROWS - 1)]
+        assert len(bands_of(2 * arnold._BAND_ROWS)) == 2
+        assert len(bands_of(5 * arnold._BAND_ROWS)) == 5
+    with banded(band_rows=arnold._BAND_ROWS, cpus=1):
+        assert bands_of(8 * arnold._BAND_ROWS) == [(0, 8 * arnold._BAND_ROWS)]
+
+
+# small tiles and chunks (of 2 to 23 rows) put several of each in a band,
+# the last one partial
+tilings = st.sampled_from([(arnold._TILE, arnold._CHUNK), (32, 700)])
+
+
+@given(sides, words(), st.integers(0, 2**32 - 1), tilings)
+@settings(deadline=None, max_examples=300)
+def test_banded_scatter_and_gather_match_oracle(n, m, seed, tiling):
+    with banded(*tiling):
+        check_against_oracle(n, m, seed)
+
+
+@pytest.mark.parametrize("tiling", [(arnold._TILE, arnold._CHUNK), (32, 700)])
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.int64])
+def test_banded_dtypes_and_layouts(dtype, tiling):
+    with banded(*tiling):
+        check_layouts(dtype)
+
+
+@pytest.mark.parametrize("m", [(2, 1, 1, 1), (3, 4, 1, 1)])
+@pytest.mark.parametrize("fn", [scatter, gather])
+def test_banded_peak_memory_stays_below_five_bytes_per_pixel(fn, m):
+    n = 2048
+    g = grid(n, 5)
+    with banded(band_rows=arnold._BAND_ROWS, cpus=4):
+        assert len(bands_of(n)) == 4
+        assert traced_peak(fn, g, m) <= 5 * n * n
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_band_exception_reaches_the_caller(failing):
+    # band 0 runs on the calling thread, bands 1 and 2 on workers
+    def step(lo, hi):
+        if (lo, hi) == bands[failing]:
+            raise RuntimeError(f"band {failing} failed")
+
+    with banded():
+        bands = bands_of(100)
+        with pytest.raises(RuntimeError, match=f"^band {failing} failed$"):
+            arnold._bands(100, step)
+        check_against_oracle(100, (2, 1, 1, 1), 7)
+
+
+def band_workers():
+    return sum(t.name == "catstego-band" for t in threading.enumerate())
+
+
+def test_concurrent_callers_share_one_set_of_workers():
+    # more callers than cores, switching often: the first banded calls race
+    # to start the workers, and every caller still gets its own bands back
+    g = grid(64, 3)
+    expected = oracles.scatter(g, reduced((3, 4, 1, 1), 64))
+    results = []
+    start = threading.Barrier(6)
+
+    def caller():
+        start.wait(timeout=60)
+        for _ in range(20):
+            results.append(np.array_equal(scatter(g, (3, 4, 1, 1)), expected))
+
+    before = band_workers()
+    interval = sys.getswitchinterval()
+    with banded(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arnold, "_tasks", None)  # as in a process with no workers yet
+        callers = [threading.Thread(target=caller) for _ in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [True] * 120
+    assert band_workers() == before + 2  # 3 cores: the callers' threads run a band each
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fork is the Linux default")
+def test_forked_child_scatters_with_bands():
+    # a child inherits the parent's queue of band work but not its workers;
+    # had it kept the queue, its scatter would wait on them for ever
+    result = run_python("""
+        import os, sys, threading, time
+        import numpy as np
+        from catstego import arnold
+
+        arnold._available_cpus = lambda: 2
+        n, m = 2048, (732, 1405, 689, 1149)
+        g = np.arange(n * n, dtype=np.uint32).reshape(n, n).astype(np.uint8)
+        first = arnold.scatter(g, m)
+        assert threading.active_count() == 2
+        pid = os.fork()
+        if pid == 0:
+            ok = np.array_equal(arnold.scatter(g, m), first)
+            os._exit(0 if ok else 3)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                sys.exit("the forked child hung")
+            time.sleep(0.01)
+        sys.exit(os.waitstatus_to_exitcode(done[1]))
+    """)
+    assert result.returncode == 0, result.stderr
