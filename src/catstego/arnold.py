@@ -10,7 +10,7 @@ pixels move only through ``scatter`` and ``gather`` by a matrix.
 
 A permutation is applied by factoring its matrix into row steps, which move
 and rotate each row as one contiguous copy, and tiled transposes; no
-N*N-sized index is built. From side 1024 on, each step runs in row bands on
+N*N-sized index is built. From side 1280 on, each step runs in row bands on
 every available core. Every side is an integer in [1, MAX_SIDE], checked by
 ``check_side``.
 """
@@ -152,10 +152,8 @@ def _pow(m: tuple, t: int, n: int) -> tuple[int, int, int, int]:
 # det +-1 mod n is such a step, a transpose T, another step, and, when b is
 # not a unit, one more T and step. No N*N-sized index is ever built.
 
-_TILE = 256  # a 256 x 256 uint8 tile stays in cache while it is transposed
-# bytes a window gather or a half copy takes at a time: 128 and 64 rows were
-# fastest at sides 1024 and 2048, and a small grid takes one chunk
-_CHUNK = 1 << 17
+_TILE = 512  # columns of a transposed tile: _ROWS x 512 was fastest at side 2048
+_ROWS = 128  # rows a band gathers or copies at a time, so its temporaries stay small
 
 
 def _det(m: tuple, n: int) -> int:
@@ -194,26 +192,10 @@ def _shears(m: tuple, n: int) -> list[tuple[int, int] | None]:
     return kept
 
 
-# -- row bands on worker threads ----------------------------------------------
-#
-# From side 2 * _BAND_ROWS on, each full-raster step writes its rows in bands,
-# one per available core, and numpy drops the GIL while it copies them. The
-# workers are daemon threads that the first banded call starts. Two bands made
-# a 2-core scatter 12-30% faster at side 1024 and 35-40% faster at 1536 and
-# 2048, but no faster at 768.
+# -- row bands: from side 2 * _BAND_ROWS on, each full-raster step writes its
+# rows in bands, one per available core, while numpy copies with no GIL held
 
-_BAND_ROWS = 512
-_tasks = None  # the workers' queue of (fn, lo, hi, done)
-_tasks_lock = threading.Lock()
-
-
-def _drop_workers() -> None:
-    global _tasks, _tasks_lock  # a forked child has the queue but no workers
-    _tasks, _tasks_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_workers)
+_BAND_ROWS = 640  # two bands beat one on two cores at side 1280, not always at 1024
 
 
 def _available_cpus() -> int:
@@ -221,42 +203,31 @@ def _available_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _work(tasks) -> None:
-    while True:
-        fn, lo, hi, done = tasks.get()
-        try:
-            fn(lo, hi)
-            done.put(None)
-        except BaseException as exc:  # the caller re-raises it
-            done.put(exc)
-        del fn, done  # an idle worker holds none of the last band's arrays
-
-
 def _bands(n: int, fn) -> None:
-    """Run fn(lo, hi) over row bands that cover [0, n), on worker threads
-    when the grid is large enough to pay for them."""
-    cpus = _available_cpus() if n >= 2 * _BAND_ROWS else 1
-    count = min(n // _BAND_ROWS, cpus)
-    if count < 2:
-        return fn(0, n)
-    from queue import SimpleQueue  # only a banded call imports it
-
-    global _tasks
-    with _tasks_lock:
-        if _tasks is None:
-            _tasks = SimpleQueue()
-            for _ in range(cpus - 1):  # the caller runs a band too
-                threading.Thread(target=_work, args=(_tasks,), name="catstego-band",
-                                 daemon=True).start()
-        tasks, done = _tasks, SimpleQueue()
+    """Run fn(lo, hi) over chunks of at most ``_ROWS`` rows that cover [0, n),
+    in row bands: band 0 on the caller and each other one on a thread joined
+    before return. An exception raised in any band re-raises here."""
+    count = min(n // _BAND_ROWS, _available_cpus()) if n >= 2 * _BAND_ROWS else 1
     edges = [n * i // count for i in range(count + 1)]
-    for lo, hi in zip(edges[1:-1], edges[2:]):
-        tasks.put((fn, lo, hi, done))
+    errors, threads = [], []
+
+    def band(lo, hi):
+        try:
+            for i in range(lo, hi, _ROWS):
+                fn(i, min(i + _ROWS, hi))
+        except BaseException as exc:
+            errors.append(exc)
+
     try:
-        fn(0, edges[1])
+        for span in zip(edges[1:-1], edges[2:]):
+            thread = threading.Thread(target=band, args=span, name="catstego-band")
+            thread.start()
+            threads.append(thread)
+        band(0, edges[1])
     finally:
-        errors = [done.get() for _ in edges[2:]]  # every band ends before we return
-    for exc in filter(None, errors):
+        for thread in threads:
+            thread.join()
+    for exc in errors:
         raise exc
 
 
@@ -264,27 +235,19 @@ def _copy(g: np.ndarray, transposed: bool, doubled: bool) -> np.ndarray:
     """g, or g.T tile by tile when ``transposed``, as a fresh C-ordered array
     h; [h h] when ``doubled``, ready for a row step."""
     n = g.shape[0]
-    out = np.empty((n, 2 * n if doubled else n), dtype=g.dtype)
-    h = out[:, :n]
-    chunk = max(1, _CHUNK // h[0].nbytes)
+    out = np.empty((n, 1 + doubled, n), dtype=g.dtype)  # out[x] is h[x], twice if doubled
 
-    def rows(lo, hi):
-        for i in range(lo, hi, _TILE):
-            e = min(i + _TILE, hi)
-            if transposed:
-                for j in range(0, n, _TILE):
-                    h[i:e, j : j + _TILE] = g[j : j + _TILE, i:e].T
-            else:
-                h[i:e] = g[i:e]
-            if doubled:
-                # h shares rows with the right half, so numpy copies it through
-                # a temporary; a chunk at a time keeps that small
-                for r in range(i, e, chunk):
-                    end = min(r + chunk, e)
-                    out[r:end, n:] = h[r:end] if transposed else g[r:end]
+    def rows(i, e):
+        if not transposed:
+            out[i:e] = g[i:e, None]
+            return
+        for j in range(0, n, _TILE):
+            out[i:e, 0, j : j + _TILE] = g[j : j + _TILE, i:e].T
+        # the halves share rows, so numpy copies one to the other via a temporary
+        out[i:e, 1:] = out[i:e, :1]
 
     _bands(n, rows)
-    return out
+    return out.reshape(n, -1)
 
 
 def _lower(gg: np.ndarray, u: int, k: int) -> np.ndarray:
@@ -293,17 +256,13 @@ def _lower(gg: np.ndarray, u: int, k: int) -> np.ndarray:
     n = gg.shape[0]
     src = np.arange(n) * pow(u, -1, n) % n
     shift = -k * src % n
-    # windows[x, s] is gg[x, s : s + n]; sliding_window_view builds the same
-    # view, but its checks cost more than the gather of a 128 x 128 grid
+    # windows[x, s] is gg[x, s : s + n], without sliding_window_view's checks
     row, col = gg.strides
     windows = as_strided(gg, (n, n + 1, n), (row, col, col), writeable=False)
     out = np.empty((n, n), dtype=gg.dtype)
-    chunk = max(1, _CHUNK // out[0].nbytes)
 
-    def rows(lo, hi):
-        for i in range(lo, hi, chunk):  # a chunk's gather stays in cache
-            j = min(i + chunk, hi)
-            out[i:j] = windows[src[i:j], shift[i:j]]
+    def rows(i, j):  # a chunk's gather stays in cache
+        out[i:j] = windows[src[i:j], shift[i:j]]
 
     _bands(n, rows)
     return out

@@ -91,7 +91,8 @@ def extract(
     planes = check_planes(planes)
     # the gather moves whole bytes, so the other planes need no mask first
     scrambled = schedule_unscramble(stego, sched)
-    return [(scrambled >> np.uint8(p)) & np.uint8(1) for p in planes]
+    bits = [scrambled >> np.uint8(p) for p in planes]  # masked in place: one array a plane
+    return [np.bitwise_and(b, np.uint8(1), out=b) for b in bits]
 
 
 # -- byte payload packing ------------------------------------------------------

@@ -71,10 +71,7 @@ def cmd_scramble(args) -> int:
     sched, _ = _load_key(args.key)
     # looked up per call, not stored on the parser: the parser outlives any
     # rebinding of these names (tracing wraps them)
-    if args.command == "scramble":
-        out = schedule.schedule_scramble(img, sched)
-    else:
-        out = schedule.schedule_unscramble(img, sched)
+    out = getattr(schedule, f"schedule_{args.command}")(img, sched)
     (netpbm.write_gray if kind == "gray" else netpbm.write_binary)(args.out, out)
     return 0
 

@@ -10,6 +10,7 @@ bits abstractly, so polarity only matters when viewing files.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 
@@ -43,10 +44,8 @@ def atomic_write_bytes(path, data, mode: int = 0o666, head: bytes = b"") -> None
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

@@ -121,8 +121,7 @@ def serialize_key(sched: ScrambleSchedule, planes: list[int]) -> str:
     """Render a schedule plus its target bit planes as key text."""
     planes = check_planes(planes)
     lines = [f"N {sched.side}", f"M {len(sched.stages)}"]
-    for stage in sched.stages:
-        lines.append(f"STAGE {stage.spec.family.value} {stage.spec.i} {stage.t}")
+    lines += [f"STAGE {st.spec.family.value} {st.spec.i} {st.t}" for st in sched.stages]
     lines.append("ORDER " + " ".join(str(j) for j in sched.order))
     lines.append(("PLANES " + " ".join(str(p) for p in planes)).rstrip())
     return "\n".join(lines) + "\n"

@@ -184,25 +184,32 @@ def test_peak_memory_stays_below_five_bytes_per_pixel(fn, m):
 
 # -- row bands -------------------------------------------------------------------
 #
-# Sides below 1024 run in one band, so these tests lower the threshold to one
+# Sides below 1280 run in one band, so these tests lower the threshold to one
 # row and claim 3 cores: every side from 2 up runs in 2 or 3 bands, most of
-# which do not divide the side evenly and hold fewer than 2 * _TILE rows.
+# which do not divide the side evenly.
 
 
 @contextmanager
-def banded(tile=arnold._TILE, chunk=arnold._CHUNK, band_rows=1, cpus=3):
+def banded(tile=arnold._TILE, rows=arnold._ROWS, band_rows=1, cpus=3):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arnold, "_BAND_ROWS", band_rows)
         mp.setattr(arnold, "_available_cpus", lambda: cpus)
         mp.setattr(arnold, "_TILE", tile)
-        mp.setattr(arnold, "_CHUNK", chunk)
+        mp.setattr(arnold, "_ROWS", rows)
         yield
 
 
-def bands_of(n):
+def chunks_of(n):
     seen = []
     arnold._bands(n, lambda lo, hi: seen.append((lo, hi)))
     return sorted(seen)
+
+
+def bands_of(n):
+    # with chunks as long as the grid, each band is one chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arnold, "_ROWS", max(n, 1))
+        return chunks_of(n)
 
 
 def test_bands_cover_every_row_once():
@@ -215,6 +222,12 @@ def test_bands_cover_every_row_once():
             assert len(edges) == min(n, 3)
             assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]]
             assert edges[-1][1] == n and all(lo < hi for lo, hi in edges)
+    with banded(rows=7):
+        # chunks of at most 7 rows cover each band [0, 33), [33, 66), [66, 100)
+        chunks = chunks_of(100)
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == 100 and all(0 < hi - lo <= 7 for lo, hi in chunks)
+        assert {33, 66} <= {lo for lo, _ in chunks}
 
 
 def test_bands_start_at_twice_the_band_rows():
@@ -226,9 +239,9 @@ def test_bands_start_at_twice_the_band_rows():
         assert bands_of(8 * arnold._BAND_ROWS) == [(0, 8 * arnold._BAND_ROWS)]
 
 
-# small tiles and chunks (of 2 to 23 rows) put several of each in a band,
+# tiles of 32 columns and chunks of 5 rows put several of each in a band,
 # the last one partial
-tilings = st.sampled_from([(arnold._TILE, arnold._CHUNK), (32, 700)])
+tilings = st.sampled_from([(arnold._TILE, arnold._ROWS), (32, 5)])
 
 
 @given(sides, words(), st.integers(0, 2**32 - 1), tilings)
@@ -238,7 +251,7 @@ def test_banded_scatter_and_gather_match_oracle(n, m, seed, tiling):
         check_against_oracle(n, m, seed)
 
 
-@pytest.mark.parametrize("tiling", [(arnold._TILE, arnold._CHUNK), (32, 700)])
+@pytest.mark.parametrize("tiling", [(arnold._TILE, arnold._ROWS), (32, 5)])
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.int64])
 def test_banded_dtypes_and_layouts(dtype, tiling):
     with banded(*tiling):
@@ -250,14 +263,18 @@ def test_banded_dtypes_and_layouts(dtype, tiling):
 def test_banded_peak_memory_stays_below_five_bytes_per_pixel(fn, m):
     n = 2048
     g = grid(n, 5)
-    with banded(band_rows=arnold._BAND_ROWS, cpus=4):
+    with banded(band_rows=512, cpus=4):
         assert len(bands_of(n)) == 4
         assert traced_peak(fn, g, m) <= 5 * n * n
 
 
+def band_threads():
+    return sum(t.name == "catstego-band" for t in threading.enumerate())
+
+
 @pytest.mark.parametrize("failing", [0, 1, 2])
 def test_band_exception_reaches_the_caller(failing):
-    # band 0 runs on the calling thread, bands 1 and 2 on workers
+    # band 0 runs on the calling thread, bands 1 and 2 on threads of their own
     def step(lo, hi):
         if (lo, hi) == bands[failing]:
             raise RuntimeError(f"band {failing} failed")
@@ -266,16 +283,38 @@ def test_band_exception_reaches_the_caller(failing):
         bands = bands_of(100)
         with pytest.raises(RuntimeError, match=f"^band {failing} failed$"):
             arnold._bands(100, step)
+        assert band_threads() == 0
         check_against_oracle(100, (2, 1, 1, 1), 7)
 
 
-def band_workers():
-    return sum(t.name == "catstego-band" for t in threading.enumerate())
+def test_thread_that_cannot_start_fails_only_its_call():
+    # as in a process out of threads: the band already started ends, the
+    # error reaches the caller, and the next call starts its threads afresh
+    n, m = 2048, (3, 4, 1, 1)
+    g = grid(n, 4)
+    with banded(band_rows=n, cpus=1):
+        expected = scatter(g, m)
+    start, started = threading.Thread.start, []
+
+    def start_once(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    with banded(band_rows=arnold._BAND_ROWS, cpus=3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threading.Thread, "start", start_once)
+            with pytest.raises(RuntimeError, match="^can't start new thread$"):
+                scatter(g, m)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert np.array_equal(scatter(g, m), expected)
+    assert band_threads() == 0
 
 
-def test_concurrent_callers_share_one_set_of_workers():
-    # more callers than cores, switching often: the first banded calls race
-    # to start the workers, and every caller still gets its own bands back
+def test_concurrent_callers_get_their_own_bands():
+    # more callers than cores, switching often: every caller starts and
+    # joins its own band threads and gets its own result back
     g = grid(64, 3)
     expected = oracles.scatter(g, reduced((3, 4, 1, 1), 64))
     results = []
@@ -286,10 +325,8 @@ def test_concurrent_callers_share_one_set_of_workers():
         for _ in range(20):
             results.append(np.array_equal(scatter(g, (3, 4, 1, 1)), expected))
 
-    before = band_workers()
     interval = sys.getswitchinterval()
-    with banded(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arnold, "_tasks", None)  # as in a process with no workers yet
+    with banded():
         callers = [threading.Thread(target=caller) for _ in range(6)]
         sys.setswitchinterval(1e-6)
         try:
@@ -301,7 +338,7 @@ def test_concurrent_callers_share_one_set_of_workers():
             sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert results == [True] * 120
-    assert band_workers() == before + 2  # 3 cores: the callers' threads run a band each
+    assert band_threads() == 0  # no band thread outlives its call
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -315,8 +352,8 @@ def run_python(code):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fork is the Linux default")
 def test_forked_child_scatters_with_bands():
-    # a child inherits the parent's queue of band work but not its workers;
-    # had it kept the queue, its scatter would wait on them for ever
+    # a child forked after a banded scatter starts threads of its own for
+    # its bands; it must neither hang nor differ from the parent
     result = run_python("""
         import os, sys, threading, time
         import numpy as np
@@ -326,7 +363,7 @@ def test_forked_child_scatters_with_bands():
         n, m = 2048, (732, 1405, 689, 1149)
         g = np.arange(n * n, dtype=np.uint32).reshape(n, n).astype(np.uint8)
         first = arnold.scatter(g, m)
-        assert threading.active_count() == 2
+        assert threading.active_count() == 1
         pid = os.fork()
         if pid == 0:
             ok = np.array_equal(arnold.scatter(g, m), first)
