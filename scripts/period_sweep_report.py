@@ -10,7 +10,7 @@ of available periods is what makes i worth keeping secret.
 import argparse
 from pathlib import Path
 
-from catstego.arnold import Family, TransformSpec, period
+from catstego.arnold import period
 
 
 def main():
@@ -24,17 +24,17 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for family in (Family.ROWFIRST, Family.COLFIRST):
-        path = outdir / f"periods_{family.value.lower()}_n{args.side}.csv"
+    for family in ("ROWFIRST", "COLFIRST"):
+        path = outdir / f"periods_{family.lower()}_n{args.side}.csv"
         periods = set()  # rows go straight to the file, so memory does not grow with the range
         with open(path, "w", encoding="ascii") as fh:
             fh.write("i,period\n")
             for i in range(args.lo, args.hi + 1):
-                p = period(TransformSpec(family, i), args.side)
+                p = period(family, i, args.side)
                 fh.write(f"{i},{p}\n")
                 periods.add(p)
         distinct = sorted(periods)
-        print(f"{family.value}: i={args.lo}..{args.hi}, N={args.side}")
+        print(f"{family}: i={args.lo}..{args.hi}, N={args.side}")
         print(f"  wrote {path}")
         print(f"  distinct periods: {distinct}")
 

@@ -1,9 +1,8 @@
 """Keyed multi-stage cat-map scrambling + bit-plane LSB steganography."""
 
 from .arnold import (
-    Family,
+    FAMILIES,
     MAX_SIDE,
-    TransformSpec,
     grid_side,
     matrix_for,
     matrix_period,
@@ -28,7 +27,6 @@ from .netpbm import NetpbmError, read_binary, read_gray, write_binary, write_gra
 from .schedule import (
     KeyFormatError,
     ScrambleSchedule,
-    Stage,
     composite_matrix,
     parse_key,
     random_schedule,

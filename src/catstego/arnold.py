@@ -23,8 +23,6 @@ import operator
 import os
 import re
 import threading
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -52,43 +50,37 @@ def _decimal(token, what: str) -> int:
     raise ValueError(f"{what} is not an integer: {token[:32]!r}")
 
 
-class Family(Enum):
-    """The three supported matrix shapes."""
-
-    CLASSIC = "CLASSIC"
-    ROWFIRST = "ROWFIRST"
-    COLFIRST = "COLFIRST"
+FAMILIES = ("CLASSIC", "ROWFIRST", "COLFIRST")
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """One member of the transform family: a shape tag plus its parameter i.
-
-    CLASSIC ignores i (it is normalized to 1 so equality behaves).
-    """
-
-    family: Family
-    i: int = 1
-
-    def __post_init__(self):
-        i = _as_int(self.i, "parameter i")
-        if self.family is Family.CLASSIC:
-            i = 1
-        elif i < 1:
-            raise ValueError(f"parameter i must be >= 1, got {i!s:.32}")
-        object.__setattr__(self, "i", i)
+def _family(tag):
+    """``tag`` if it names a family; a ValueError otherwise."""
+    if tag not in FAMILIES:
+        raise ValueError(f"unknown family tag {tag!r}")
+    return tag
 
 
-def matrix_for(spec: TransformSpec) -> tuple[int, int, int, int]:
-    """The 2x2 matrix (a, b, c, d) = [a b; c d] of a family member.
+def check_stage(family, i, t) -> tuple[str, int, int]:
+    """Validate one stage and return it as the tuple (family, i, t): family is
+    one of ``FAMILIES``, i >= 1 and t >= 0 are integers, and CLASSIC's i is
+    stored as 1, so that equal stages compare and hash equal."""
+    family = _family(family)
+    i, t = _as_int(i, "parameter i"), _as_int(t, "iteration count t")
+    if family == "CLASSIC":
+        i = 1
+    elif i < 1:
+        raise ValueError(f"parameter i must be >= 1, got {i!s:.32}")
+    if t < 0:
+        raise ValueError(f"iteration count t must be >= 0, got {t!s:.32}")
+    return family, i, t
 
-    CLASSIC -> [2 1; 1 1], ROWFIRST(i) -> [i i+1; 1 1], COLFIRST(i) -> [i+1 i; 1 1].
-    """
-    if spec.family is Family.CLASSIC:
-        return (2, 1, 1, 1)
-    if spec.family is Family.ROWFIRST:
-        return (spec.i, spec.i + 1, 1, 1)
-    return (spec.i + 1, spec.i, 1, 1)
+
+def matrix_for(family: str, i: int) -> tuple[int, int, int, int]:
+    """The 2x2 matrix (a, b, c, d) = [a b; c d] of a family member: ROWFIRST(i)
+    -> [i i+1; 1 1], COLFIRST(i) -> [i+1 i; 1 1], and CLASSIC, whose i is
+    stored as 1, -> COLFIRST(1) = [2 1; 1 1]."""
+    family, i, _ = check_stage(family, i, 0)
+    return (i, i + 1, 1, 1) if family == "ROWFIRST" else (i + 1, i, 1, 1)
 
 
 def grid_side(grid: np.ndarray) -> int:
@@ -309,6 +301,6 @@ def matrix_period(m: tuple, n: int) -> int:
     return p
 
 
-def period(spec: TransformSpec, n: int) -> int:
+def period(family: str, i: int, n: int) -> int:
     """Period of a family member on an n x n grid."""
-    return matrix_period(matrix_for(spec), n)
+    return matrix_period(matrix_for(family, i), n)

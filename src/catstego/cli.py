@@ -14,21 +14,29 @@ import sys
 from pathlib import Path
 
 from . import bitplane, metrics, netpbm, schedule
-from .arnold import Family, TransformSpec, period
+from .arnold import FAMILIES, period
 
 
-def _family(token: str) -> Family:
-    try:
-        return Family[token.upper()]
-    except KeyError:
+def _family(token: str) -> str:
+    if token.upper() not in FAMILIES:
         raise argparse.ArgumentTypeError(
             f"unknown family {token!r} (choose from classic, rowfirst, colfirst)"
-        ) from None
+        )
+    return token.upper()
+
+
+def _read_at_most(path, limit: int, what: str) -> bytes:
+    """The bytes of ``path`` from one bounded read; a file over ``limit`` bytes is refused."""
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise ValueError(f"{path}: {what} exceeds {limit} bytes")
+    return data
 
 
 def _load_key(path) -> tuple[schedule.ScrambleSchedule, list[int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule.parse_key(fh.read())
+    text = _read_at_most(path, schedule.MAX_KEY_BYTES, "key file").decode("utf-8")
+    return schedule.parse_key(text)
 
 
 def cmd_embed(args) -> int:
@@ -39,8 +47,10 @@ def cmd_embed(args) -> int:
             f"{len(args.messages)} message files but key lists {len(planes)} planes"
         )
     # read lazily: embed folds each message in before the next file is read
+    n = cover.shape[0]
+    limit, what = bitplane.capacity_bytes(n), f"payload for one {n}x{n} plane"
     messages = (
-        bitplane.pack_payload(Path(path).read_bytes(), cover.shape[0]) if args.pack
+        bitplane.pack_payload(_read_at_most(path, limit, what), n) if args.pack
         else netpbm.read_binary(path)
         for path in args.messages
     )
@@ -77,7 +87,7 @@ def cmd_scramble(args) -> int:
 
 
 def cmd_period(args) -> int:
-    print(period(TransformSpec(args.family, args.i), args.side))
+    print(period(args.family, args.i, args.side))
     return 0
 
 

@@ -1,7 +1,8 @@
 """Multi-stage scramble schedules and the text key-file format.
 
-A schedule is the whole secret key: an ordered list of (transform, iteration
-count) stages plus the permutation giving the order they are applied in.
+A schedule is the whole secret key: a list of stages, each the tuple
+(family, i, t) of a transform and its iteration count, plus the permutation
+giving the order they are applied in.
 Unscrambling inverts the stages in reverse application order.
 
 Key file format (UTF-8, LF line endings, ``#`` starts a comment):
@@ -22,14 +23,15 @@ import numpy as np
 
 from .arnold import (
     _IDENT,
-    Family,
-    TransformSpec,
+    FAMILIES,
     _as_int,
     _decimal,
+    _family,
     _mul,
     _pow,
     _reduce,
     check_side,
+    check_stage,
     grid_side,
     matrix_for,
     period,
@@ -43,29 +45,31 @@ class KeyFormatError(ValueError):
     """Raised when key text cannot be parsed; message names the offending line."""
 
 
-@dataclass(frozen=True)
-class Stage:
-    spec: TransformSpec
-    t: int
+# A key file is read in one piece of at most MAX_KEY_BYTES. A keygen key of
+# MAX_STAGES stages is at most 43,935 bytes: STAGE lines of at most 40 bytes
+# (i <= 20, t < period < side**4 < 10**21) and an ORDER line of 3,896.
+MAX_KEY_BYTES = 1 << 16
+MAX_STAGES = 1000
 
-    def __post_init__(self):
-        t = _as_int(self.t, "iteration count t")
-        if t < 0:
-            raise ValueError(f"iteration count t must be >= 0, got {t!s:.32}")
-        object.__setattr__(self, "t", t)
+
+def _stage_count(m: int) -> int:
+    if m < 1:
+        raise ValueError(f"stage count must be >= 1, got {m!s:.32}")
+    if m > MAX_STAGES:
+        raise ValueError(f"stage count {m!s:.32} exceeds the limit of {MAX_STAGES}")
+    return m
 
 
 @dataclass(frozen=True)
 class ScrambleSchedule:
     side: int
-    stages: tuple[Stage, ...]
+    stages: tuple[tuple[str, int, int], ...]
     order: tuple[int, ...]
 
     def __post_init__(self):
         side = check_side(self.side)
-        stages = tuple(self.stages)
-        if not stages:
-            raise ValueError("schedule needs at least one stage")
+        stages = tuple(check_stage(*stage) for stage in self.stages)
+        _stage_count(len(stages))
         order = tuple(_as_int(j, "order entry") for j in self.order)
         if sorted(order) != list(range(len(stages))):
             raise ValueError(
@@ -87,8 +91,8 @@ def composite_matrix(sched: ScrambleSchedule) -> tuple[int, int, int, int]:
     stage powers M^t, each multiplied on the left in application order."""
     acc = _reduce(_IDENT, sched.side)
     for j in sched.order:
-        stage = sched.stages[j]
-        acc = _mul(_pow(matrix_for(stage.spec), stage.t, sched.side), acc, sched.side)
+        family, i, t = sched.stages[j]
+        acc = _mul(_pow(matrix_for(family, i), t, sched.side), acc, sched.side)
     return acc
 
 
@@ -121,7 +125,7 @@ def serialize_key(sched: ScrambleSchedule, planes: list[int]) -> str:
     """Render a schedule plus its target bit planes as key text."""
     planes = check_planes(planes)
     lines = [f"N {sched.side}", f"M {len(sched.stages)}"]
-    lines += [f"STAGE {st.spec.family.value} {st.spec.i} {st.t}" for st in sched.stages]
+    lines += ["STAGE {} {} {}".format(*stage) for stage in sched.stages]
     lines.append("ORDER " + " ".join(str(j) for j in sched.order))
     lines.append(("PLANES " + " ".join(str(p) for p in planes)).rstrip())
     return "\n".join(lines) + "\n"
@@ -155,19 +159,15 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
     side = _on_line(lineno, lambda: check_side(_decimal(toks[1], "side")))
 
     lineno, toks = take("M", 2)
-    m = _on_line(lineno, _decimal, toks[1], "stage count")
-    if m < 1:
-        raise KeyFormatError(f"line {lineno}: stage count must be >= 1, got {m!s:.32}")
+    m = _on_line(lineno, lambda: _stage_count(_decimal(toks[1], "stage count")))
 
     stages = []
     for _ in range(m):
         lineno, toks = take("STAGE", 4, "<family> <i> <t>")
-        family = Family.__members__.get(toks[1])
-        if family is None:
-            raise KeyFormatError(f"line {lineno}: unknown family tag {toks[1]!r}")
-        i = _on_line(lineno, _decimal, toks[2], "parameter i")
-        t = _on_line(lineno, _decimal, toks[3], "iteration count t")
-        stages.append(_on_line(lineno, lambda: Stage(TransformSpec(family, i), t)))
+        # arguments run left to right: the tag is checked before i and t parse
+        stages.append(_on_line(lineno, lambda: check_stage(
+            _family(toks[1]), _decimal(toks[2], "parameter i"),
+            _decimal(toks[3], "iteration count t"))))
 
     lineno, toks = take("ORDER")
     order = tuple(_on_line(lineno, _decimal, tok, "order entry") for tok in toks[1:])
@@ -189,16 +189,15 @@ def random_schedule(side: int, m: int, rng: random.Random) -> ScrambleSchedule:
     A draw that composes to the identity would scramble nothing, so it is
     drawn again, except at side 1, where every matrix is the identity.
     """
-    m = _as_int(m, "stage count")
-    periods: dict[TransformSpec, int] = {}  # i <= 20, so at most 41 specs
+    m = _stage_count(_as_int(m, "stage count"))
+    periods: dict[tuple[str, int], int] = {}  # i <= 20, so at most 41 transforms
     while True:
         stages = []
         for _ in range(m):
-            family = rng.choice(list(Family))
-            spec = TransformSpec(family, rng.randint(1, 20))
+            spec = check_stage(rng.choice(FAMILIES), rng.randint(1, 20), 0)[:2]
             if spec not in periods:
-                periods[spec] = period(spec, side)
-            stages.append(Stage(spec, rng.randint(1, max(1, periods[spec] - 1))))
+                periods[spec] = period(*spec, side)
+            stages.append((*spec, rng.randint(1, max(1, periods[spec] - 1))))
         order = list(range(m))
         rng.shuffle(order)
         sched = ScrambleSchedule(side, tuple(stages), tuple(order))

@@ -80,21 +80,22 @@ def mat_pow(m, t, n):
 
 
 def stage_matrix(spec):
-    """Position matrix of one transform, from the family table in the README."""
-    i = spec.i
+    """Position matrix of one transform (family, i), from the family table in
+    the README."""
+    family, i = spec
     return {
         "CLASSIC": (2, 1, 1, 1),
         "ROWFIRST": (i, i + 1, 1, 1),
         "COLFIRST": (i + 1, i, 1, 1),
-    }[spec.family.value]
+    }[family]
 
 
 def composite_matrix(sched, n):
     """Overall position matrix of a schedule, built with local arithmetic."""
     acc = (1 % n, 0, 0, 1 % n)
     for j in sched.order:
-        stage = sched.stages[j]
-        acc = mat_mul(mat_pow(stage_matrix(stage.spec), stage.t, n), acc, n)
+        family, i, t = sched.stages[j]
+        acc = mat_mul(mat_pow(stage_matrix((family, i)), t, n), acc, n)
     return acc
 
 
@@ -128,19 +129,19 @@ def apply_once(grid, spec, t=1):
 def reference_scramble(grid, sched):
     """Stage by stage, in application order: one scatter with M^t per stage."""
     for j in sched.order:
-        stage = sched.stages[j]
-        grid = scatter(grid, mat_pow(stage_matrix(stage.spec), stage.t, sched.side))
+        family, i, t = sched.stages[j]
+        grid = scatter(grid, mat_pow(stage_matrix((family, i)), t, sched.side))
     return grid
 
 
 def reference_unscramble(grid, sched):
     """Stage by stage, in reverse order: one scatter with (M^-1)^t per stage."""
     for j in reversed(sched.order):
-        stage = sched.stages[j]
-        a, b, c, d = stage_matrix(stage.spec)
+        family, i, t = sched.stages[j]
+        a, b, c, d = stage_matrix((family, i))
         det = a * d - b * c
         inverse = (det * d, -det * b, -det * c, det * a)
-        grid = scatter(grid, mat_pow(inverse, stage.t, sched.side))
+        grid = scatter(grid, mat_pow(inverse, t, sched.side))
     return grid
 
 

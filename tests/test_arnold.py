@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catstego.arnold import (
+    FAMILIES,
     MAX_SIDE,
-    Family,
-    TransformSpec,
+    check_stage,
     grid_side,
     matrix_for,
     matrix_period,
@@ -14,19 +14,20 @@ from catstego.arnold import (
 )
 from catstego.schedule import (
     ScrambleSchedule,
-    Stage,
+    parse_key,
     schedule_scramble,
     schedule_unscramble,
+    serialize_key,
 )
 from oracles import AI, BI, CI, I3, apply_once, orbit_period
 
-CLASSIC = TransformSpec(Family.CLASSIC)
-ROW3 = TransformSpec(Family.ROWFIRST, 3)
+CLASSIC = ("CLASSIC", 1)
+ROW3 = ("ROWFIRST", 3)
 
 
 def _one_stage(grid, spec, t):
     """A single stage is a one-stage schedule, so these tests run the CLI's path."""
-    return ScrambleSchedule(len(grid), (Stage(spec, t),), (0,))
+    return ScrambleSchedule(len(grid), ((*spec, t),), (0,))
 
 
 def scramble(grid, spec, t):
@@ -37,8 +38,8 @@ def unscramble(grid, spec, t):
     return schedule_unscramble(grid, _one_stage(grid, spec, t))
 
 
-families = st.sampled_from(list(Family))
-specs = st.builds(TransformSpec, families, st.integers(1, 10))
+families = st.sampled_from(FAMILIES)
+specs = st.tuples(families, st.integers(1, 10))
 
 
 @st.composite
@@ -52,22 +53,22 @@ def grids(draw, max_side=64):
 
 
 def test_matrix_for_classic():
-    assert matrix_for(CLASSIC) == (2, 1, 1, 1)
+    assert matrix_for("CLASSIC", 1) == (2, 1, 1, 1)
 
 
 def test_matrix_for_rowfirst():
-    assert matrix_for(ROW3) == (3, 4, 1, 1)
+    assert matrix_for("ROWFIRST", 3) == (3, 4, 1, 1)
 
 
 def test_colfirst1_matrix_equals_classic():
-    assert matrix_for(TransformSpec(Family.COLFIRST, 1)) == matrix_for(CLASSIC)
+    assert matrix_for("COLFIRST", 1) == matrix_for("CLASSIC", 1)
 
 
 @given(st.integers(1, 50))
 def test_matrix_determinants(i):
-    assert _det(matrix_for(TransformSpec(Family.CLASSIC, i))) == 1
-    assert _det(matrix_for(TransformSpec(Family.ROWFIRST, i))) == -1
-    assert _det(matrix_for(TransformSpec(Family.COLFIRST, i))) == 1
+    assert _det(matrix_for("CLASSIC", i)) == 1
+    assert _det(matrix_for("ROWFIRST", i)) == -1
+    assert _det(matrix_for("COLFIRST", i)) == 1
 
 
 def _det(m):
@@ -75,15 +76,37 @@ def _det(m):
     return a * d - b * c
 
 
-@pytest.mark.parametrize("i", [0, -1, -7])
-@pytest.mark.parametrize("family", [Family.ROWFIRST, Family.COLFIRST])
-def test_nonpositive_i_rejected(family, i):
-    with pytest.raises(ValueError):
-        TransformSpec(family, i)
+@pytest.mark.parametrize("family, i, message", [
+    *((family, i, f"parameter i must be >= 1, got {i}")
+      for family in ("ROWFIRST", "COLFIRST") for i in (0, -1, -7)),
+    ("SPIRAL", 1, "unknown family tag 'SPIRAL'"),
+    ("classic", 1, "unknown family tag 'classic'"),
+    (None, 1, "unknown family tag None"),
+    ("ROWFIRST", 2.0, "parameter i must be an integer, got 2.0"),
+    ("COLFIRST", "3", "parameter i must be an integer, got '3'"),
+])
+def test_bad_transform_rejected(family, i, message):
+    # matrix_for, period and the stage check refuse the same (family, i) alike
+    for refuse in (matrix_for, lambda f, i: period(f, i, 8), lambda f, i: check_stage(f, i, 1)):
+        with pytest.raises(ValueError) as err:
+            refuse(family, i)
+        assert str(err.value) == message
 
 
 def test_classic_ignores_i():
-    assert TransformSpec(Family.CLASSIC, 7) == TransformSpec(Family.CLASSIC)
+    for i in (7, 0, -5):
+        assert check_stage("CLASSIC", i, 3) == ("CLASSIC", 1, 3)
+        assert hash(check_stage("CLASSIC", i, 3)) == hash(("CLASSIC", 1, 3))
+        assert matrix_for("CLASSIC", i) == matrix_for("CLASSIC", 1)
+        assert period("CLASSIC", i, 128) == period("CLASSIC", 1, 128)
+        sched = ScrambleSchedule(8, (("CLASSIC", i, 3),), (0,))
+        assert sched == ScrambleSchedule(8, (("CLASSIC", 1, 3),), (0,))
+        assert len({sched, ScrambleSchedule(8, (["CLASSIC", 1, 3],), (0,))}) == 1
+        assert "STAGE CLASSIC 1 3" in serialize_key(sched, [0])
+        assert parse_key(f"N 8\nM 1\nSTAGE CLASSIC {i} 3\nORDER 0\nPLANES 0\n")[0] == sched
+    # numpy integers and other index-likes are stored as plain ints
+    assert check_stage("ROWFIRST", np.int64(4), np.uint8(9)) == ("ROWFIRST", 4, 9)
+    assert type(check_stage("ROWFIRST", np.int64(4), 9)[1]) is int
 
 
 def test_non_unimodular_matrix_rejected():
@@ -174,7 +197,7 @@ def test_unscramble_inverts_scramble(g, spec, t):
 @given(grids(max_side=24), specs, st.data())
 @settings(deadline=None)
 def test_unscramble_equals_forward_period_minus_t(g, spec, data):
-    p = period(spec, g.shape[0])
+    p = period(*spec, g.shape[0])
     t = data.draw(st.integers(0, p))
     assert np.array_equal(unscramble(g, spec, t), scramble(g, spec, p - t))
 
@@ -196,11 +219,11 @@ def test_scramble_preserves_value_multiset(g, spec, t):
                           np.bincount(g.ravel(), minlength=256))
 
 
-@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 64])
 def test_position_map_is_bijective(family, n):
     for i in (1, 2, 3, 7, 10):
-        a, b, c, d = matrix_for(TransformSpec(family, i))
+        a, b, c, d = matrix_for(family, i)
         x, y = np.divmod(np.arange(n * n), n)
         dest = ((a * x + b * y) % n) * n + ((c * x + d * y) % n)
         assert len(np.unique(dest)) == n * n
@@ -208,7 +231,7 @@ def test_position_map_is_bijective(family, n):
 
 @given(grids(max_side=32), st.integers(0, 60))
 def test_colfirst1_scrambles_identically_to_classic(g, t):
-    col1 = TransformSpec(Family.COLFIRST, 1)
+    col1 = ("COLFIRST", 1)
     assert np.array_equal(scramble(g, col1, t), scramble(g, CLASSIC, t))
 
 
@@ -217,7 +240,7 @@ def test_classic_cannot_unscramble_rowfirst_output():
     bi2 = np.array(BI[1])
     g = bi2
     seen_original = False
-    for _ in range(3 * period(CLASSIC, 3)):
+    for _ in range(3 * period("CLASSIC", 1, 3)):
         g = apply_once(g, CLASSIC)
         seen_original = seen_original or np.array_equal(g, I3)
     assert not seen_original
@@ -228,46 +251,45 @@ def test_classic_cannot_unscramble_rowfirst_output():
 
 
 def test_period_classic_n3():
-    assert period(CLASSIC, 3) == 4
+    assert period("CLASSIC", 1, 3) == 4
 
 
 def test_period_rowfirst3_n3():
-    assert period(ROW3, 3) == 8
+    assert period("ROWFIRST", 3, 3) == 8
 
 
 def test_period_classic_n128():
     # frozen from the brute-force orbit oracle, computed before the build
-    assert period(CLASSIC, 128) == 96
+    assert period("CLASSIC", 1, 128) == 96
 
 
 def test_period_classic_dyson_falk_bound():
     # Dyson & Falk, "Period of a discrete cat mapping" (Amer. Math. Monthly 99,
     # 1992): the classic map's period is at most 3N, with equality exactly
     # when N = 2 * 5**k
-    periods = {n: period(CLASSIC, n) for n in range(2, 601)}
+    periods = {n: period("CLASSIC", 1, n) for n in range(2, 601)}
     assert all(p <= 3 * n for n, p in periods.items())
     assert [n for n, p in periods.items() if p == 3 * n] == [10, 50, 250]
 
 
 def test_period_n1_is_1():
-    assert period(CLASSIC, 1) == 1
-    assert period(ROW3, 1) == 1
+    assert period("CLASSIC", 1, 1) == 1
+    assert period("ROWFIRST", 3, 1) == 1
 
 
 def test_period_rejects_bad_side():
     with pytest.raises(ValueError):
-        period(CLASSIC, 0)
+        period("CLASSIC", 1, 0)
     with pytest.raises(ValueError, match="exceeds the limit"):
-        period(CLASSIC, MAX_SIDE + 1)
+        period("CLASSIC", 1, MAX_SIDE + 1)
     with pytest.raises(ValueError, match="integer"):
-        period(CLASSIC, 8.0)
+        period("CLASSIC", 1, 8.0)
 
 
 @given(families, st.integers(1, 10), st.integers(2, 32))
 @settings(deadline=None, max_examples=60)
 def test_period_matches_orbit_oracle(family, i, n):
-    spec = TransformSpec(family, i)
-    assert period(spec, n) == orbit_period(*matrix_for(spec), n)
+    assert period(family, i, n) == orbit_period(*matrix_for(family, i), n)
 
 
 def test_matrix_period_on_raw_matrix():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catstego.arnold import Family, TransformSpec
+from catstego.arnold import FAMILIES
 from catstego.bitplane import (
     as_binary,
     as_gray,
@@ -14,13 +14,13 @@ from catstego.bitplane import (
     pack_payload,
     unpack_payload,
 )
-from catstego.schedule import ScrambleSchedule, Stage
+from catstego.schedule import ScrambleSchedule
 from conftest import traced_peak
 from oracles import reference_embed, reference_extract
 
 SCHED8 = ScrambleSchedule(
     8,
-    (Stage(TransformSpec(Family.ROWFIRST, 2), 3), Stage(TransformSpec(Family.CLASSIC), 2)),
+    (("ROWFIRST", 2, 3), ("CLASSIC", 1, 2)),
     (1, 0),
 )
 
@@ -39,7 +39,7 @@ def _bits(n, seed=0):
 def set_plane(img, p, bits):
     """Replace bit p of every pixel with ``bits``: ``embed`` under a one-stage
     key with t = 0, which scrambles nothing."""
-    key = ScrambleSchedule(len(img), (Stage(TransformSpec(Family.CLASSIC), 0),), (0,))
+    key = ScrambleSchedule(len(img), (("CLASSIC", 1, 0),), (0,))
     return embed(img, [bits], key, [p])
 
 
@@ -137,10 +137,8 @@ def test_embed_three_planes_and_extract():
 @settings(deadline=None)
 def test_embed_extract_match_plane_by_plane_reference(n, data):
     m = data.draw(st.integers(1, 4))
-    stages = data.draw(st.lists(st.builds(
-        Stage,
-        st.builds(TransformSpec, st.sampled_from(list(Family)), st.integers(1, 30)),
-        st.integers(0, 10**6),
+    stages = data.draw(st.lists(st.tuples(
+        st.sampled_from(FAMILIES), st.integers(1, 30), st.integers(0, 10**6),
     ), min_size=m, max_size=m))
     sched = ScrambleSchedule(n, tuple(stages), tuple(data.draw(st.permutations(range(m)))))
     planes = data.draw(st.lists(st.integers(0, 7), max_size=8, unique=True))
@@ -215,7 +213,7 @@ def test_extracted_plane_is_scrambled_not_plain():
 def test_plane_locality_and_perturbation_bound(seed, planes):
     cover = _gray(16, seed)
     msgs = [_bits(16, seed + 7 * k + 1) for k in range(len(planes))]
-    sched = ScrambleSchedule(16, (Stage(TransformSpec(Family.COLFIRST, 2), 5),), (0,))
+    sched = ScrambleSchedule(16, (("COLFIRST", 2, 5),), (0,))
     stego = embed(cover, msgs, sched, planes)
     for q in range(8):
         if q not in planes:
@@ -227,7 +225,7 @@ def test_plane_locality_and_perturbation_bound(seed, planes):
 def test_capacity_k_planes_carry_exactly_k_n2_bits():
     n, planes = 16, [0, 1, 2, 3]
     cover = _gray(n, seed=8)
-    sched = ScrambleSchedule(n, (Stage(TransformSpec(Family.CLASSIC), 3),), (0,))
+    sched = ScrambleSchedule(n, (("CLASSIC", 1, 3),), (0,))
     msgs = [_bits(n, seed=20 + k) for k in range(len(planes))]
     stego = embed(cover, msgs, sched, planes)
     recovered = extract(stego, sched, planes)

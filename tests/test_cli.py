@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 import catstego.schedule
-from catstego.bitplane import get_plane
+from catstego.bitplane import capacity_bytes, get_plane
 from catstego.cli import main
 from catstego.netpbm import read_binary, read_gray, write_binary, write_gray
 from catstego.schedule import (
+    MAX_KEY_BYTES,
+    MAX_STAGES,
     ScrambleSchedule,
-    Stage,
     parse_key,
     schedule_scramble,
     serialize_key,
 )
-from catstego.arnold import MAX_SIDE, Family, TransformSpec
+from catstego.arnold import MAX_SIDE
 from catstego.synth import natural_binary, natural_gray
 from conftest import traced_peak
 
@@ -29,8 +30,8 @@ def workspace(tmp_path):
     write_gray(tmp_path / "cover.pgm", cover)
     sched = ScrambleSchedule(
         32,
-        (Stage(TransformSpec(Family.ROWFIRST, 2), 5),
-         Stage(TransformSpec(Family.CLASSIC), 3)),
+        (("ROWFIRST", 2, 5),
+         ("CLASSIC", 1, 3)),
         (1, 0),
     )
     (tmp_path / "key.txt").write_text(serialize_key(sched, [0, 1]))
@@ -103,7 +104,7 @@ def test_extract_raw_gives_scrambled_planes(workspace):
 def test_pack_unpack_payload_flow(tmp_path):
     cover = natural_gray(64, seed=40)
     write_gray(tmp_path / "cover.pgm", cover)
-    sched = ScrambleSchedule(64, (Stage(TransformSpec(Family.COLFIRST, 3), 7),), (0,))
+    sched = ScrambleSchedule(64, (("COLFIRST", 3, 7),), (0,))
     (tmp_path / "key.txt").write_text(serialize_key(sched, [0]))
     secret = bytes(range(200))
     (tmp_path / "secret.bin").write_bytes(secret)
@@ -120,7 +121,7 @@ def test_raw_packed_plane_shows_the_payload_weight(tmp_path):
     # the key hides where the bits are, not how many there are: a permutation
     # keeps the number of ones, and the padding is zeros
     write_gray(tmp_path / "cover.pgm", natural_gray(64, seed=41))
-    sched = ScrambleSchedule(64, (Stage(TransformSpec(Family.ROWFIRST, 4), 9),), (0,))
+    sched = ScrambleSchedule(64, (("ROWFIRST", 4, 9),), (0,))
     (tmp_path / "key.txt").write_text(serialize_key(sched, [0]))
     secret = b"attack at dawn" * 9
     (tmp_path / "secret.bin").write_bytes(secret)
@@ -284,6 +285,100 @@ def test_keygen_rejects_zero_stages(tmp_path, capsys):
     rc = main(["keygen", "16", "0", str(tmp_path / "k.txt"), "--seed", "1"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_keygen_stage_count_limit(tmp_path, capsys):
+    key = tmp_path / "k.txt"
+    assert main(["keygen", "16", str(MAX_STAGES + 1), str(key), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: stage count {MAX_STAGES + 1} exceeds the limit of {MAX_STAGES}\n"
+    )
+    assert not key.exists()
+    assert main(["keygen", "16", str(MAX_STAGES), str(key), "--seed", "1"]) == 0
+    assert len(parse_key(key.read_text())[0].stages) == MAX_STAGES
+
+
+def _padded_key(size):
+    """A valid 32-side key file of exactly ``size`` bytes: a long last comment."""
+    text = serialize_key(ScrambleSchedule(32, (("CLASSIC", 1, 3),), (0,)), [0]) + "#"
+    return (text + "x" * (size - len(text) - 1) + "\n").encode()
+
+
+@pytest.mark.parametrize("size, status", [(MAX_KEY_BYTES, 0), (MAX_KEY_BYTES + 1, 1)])
+def test_key_file_size_limit(workspace, capsys, size, status):
+    key = workspace / "long.txt"
+    key.write_bytes(_padded_key(size))
+    argv = ["scramble", str(workspace / "cover.pgm"), str(key), str(workspace / "out.pgm")]
+    assert main(argv) == status
+    err = "" if status == 0 else f"error: {key}: key file exceeds {MAX_KEY_BYTES} bytes\n"
+    assert capsys.readouterr().err == err
+    assert (workspace / "out.pgm").exists() == (status == 0)
+
+
+def test_oversized_key_refused_without_reading_it(workspace, capsys):
+    key = workspace / "big.txt"
+    with open(key, "wb") as fh:
+        fh.write(b"N 32\n")
+        fh.truncate(128 << 20)  # sparse 128 MiB NUL tail
+
+    def refused():
+        argv = ["scramble", str(workspace / "cover.pgm"), str(key), str(workspace / "out.pgm")]
+        assert main(argv) == 1
+
+    assert traced_peak(refused) < 1 << 20
+    assert capsys.readouterr().err == f"error: {key}: key file exceeds {MAX_KEY_BYTES} bytes\n"
+
+
+def test_key_from_a_pipe_is_read_with_a_bound(workspace):
+    # the child stops reading after MAX_KEY_BYTES + 1 bytes of a 1 MiB stream
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = [sys.executable, "-m", "catstego.cli", "scramble",
+            str(workspace / "cover.pgm"), "/dev/stdin", str(workspace / "out.pgm")]
+    for key, status, err in (
+        (_padded_key(MAX_KEY_BYTES), 0, ""),
+        (_padded_key(1 << 20), 1, f"error: /dev/stdin: key file exceeds {MAX_KEY_BYTES} bytes\n"),
+    ):
+        done = subprocess.run(argv, input=key, capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr.decode()) == (status, err)
+
+
+@pytest.mark.parametrize("extra, status", [(0, 0), (1, 1)])
+def test_pack_payload_size_limit(tmp_path, capsys, extra, status):
+    # a 128x128 plane holds 2044 bytes; one more is refused, and no size is guessed
+    write_gray(tmp_path / "cover.pgm", natural_gray(128, seed=42))
+    (tmp_path / "key.txt").write_text(serialize_key(ScrambleSchedule(128, (("CLASSIC", 1, 5),), (0,)), [0]))
+    secret = bytes(range(256)) * 8
+    (tmp_path / "secret.bin").write_bytes(secret[: capacity_bytes(128) + extra])
+    argv = ["embed", "--pack", str(tmp_path / "cover.pgm"), str(tmp_path / "key.txt"),
+            str(tmp_path / "stego.pgm"), str(tmp_path / "secret.bin")]
+    assert main(argv) == status
+    if status:
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'secret.bin'}: payload for one 128x128 plane exceeds 2044 bytes\n"
+        )
+        return
+    assert main(["extract", "--unpack", str(tmp_path / "stego.pgm"),
+                 str(tmp_path / "key.txt"), str(tmp_path / "out.bin")]) == 0
+    assert (tmp_path / "out.bin").read_bytes() == secret[:2044]
+
+
+def test_oversized_payload_refused_without_reading_it(tmp_path, capsys):
+    write_gray(tmp_path / "cover.pgm", natural_gray(128, seed=43))
+    (tmp_path / "key.txt").write_text(serialize_key(ScrambleSchedule(128, (("CLASSIC", 1, 5),), (0,)), [0]))
+    payload = tmp_path / "secret.bin"
+    with open(payload, "wb") as fh:
+        fh.truncate(256 << 20)  # sparse 256 MiB
+
+    def refused():
+        assert main(["embed", "--pack", str(tmp_path / "cover.pgm"), str(tmp_path / "key.txt"),
+                     str(tmp_path / "stego.pgm"), str(payload)]) == 1
+
+    assert traced_peak(refused) < 1 << 20
+    assert capsys.readouterr().err == (
+        f"error: {payload}: payload for one 128x128 plane exceeds 2044 bytes\n"
+    )
+    assert not (tmp_path / "stego.pgm").exists()
 
 
 def test_missing_file_fails_cleanly(tmp_path, capsys):

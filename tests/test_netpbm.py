@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from catstego.arnold import MAX_SIDE, Family, TransformSpec
+from catstego.arnold import MAX_SIDE
 from catstego.cli import main
 from catstego.netpbm import (
     NetpbmError,
@@ -21,7 +21,7 @@ from catstego.netpbm import (
     write_binary,
     write_gray,
 )
-from catstego.schedule import ScrambleSchedule, Stage, schedule_scramble, serialize_key
+from catstego.schedule import ScrambleSchedule, schedule_scramble, serialize_key
 
 
 def _gray(n, seed=0):
@@ -336,7 +336,7 @@ def test_read_auto_opens_a_pipe_once():
 
 def test_cli_scramble_reads_a_pipe(tmp_path):
     img = _gray(9, seed=13)
-    sched = ScrambleSchedule(9, (Stage(TransformSpec(Family.ROWFIRST, 2), 5),), (0,))
+    sched = ScrambleSchedule(9, (("ROWFIRST", 2, 5),), (0,))
     key = tmp_path / "key.txt"
     key.write_text(serialize_key(sched, [0]))
     out = tmp_path / "s.pgm"

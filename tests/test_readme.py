@@ -1,9 +1,10 @@
-"""Every command line the README shows is one the CLI still accepts.
+"""Every command line and every Python example the README shows still works.
 
 Each line that starts with ``catstego `` inside a fenced code block is
 split like a shell would, without its trailing ``# comment``, and parsed,
 not run, with the CLI's own parser, so a removed command or option left in
-the docs fails here.
+the docs fails here. Each ```` ```python ```` block is run, in a directory
+that holds the 128x128 ``cover.pgm`` and ``secret.pbm`` the examples read.
 """
 
 import shlex
@@ -12,17 +13,28 @@ from pathlib import Path
 import pytest
 
 from catstego.cli import _PARSER
+from catstego.netpbm import write_binary, write_gray
+from catstego.synth import natural_binary, natural_gray
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _readme_commands():
-    in_block = False
+def _readme_blocks():
+    """(info string, lines) of each fenced code block, in order."""
+    block = None
     for line in README.read_text(encoding="utf-8").splitlines():
-        if line.startswith("```"):
-            in_block = not in_block
-        elif in_block and line.startswith("catstego "):
-            yield line
+        if block is None and line.startswith("```"):
+            info, block = line[3:].strip(), []
+        elif block is not None and line.startswith("```"):
+            yield info, block
+            block = None
+        elif block is not None:
+            block.append(line)
+
+
+def _readme_commands():
+    for _, lines in _readme_blocks():
+        yield from (line for line in lines if line.startswith("catstego "))
 
 
 def test_readme_commands_parse():
@@ -33,3 +45,13 @@ def test_readme_commands_parse():
             _PARSER.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command refused by the parser: {command}")
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    examples = ["\n".join(lines) for info, lines in _readme_blocks() if info == "python"]
+    assert examples
+    write_gray(tmp_path / "cover.pgm", natural_gray(128, seed=1))
+    write_binary(tmp_path / "secret.pbm", natural_binary(128, seed=2))
+    monkeypatch.chdir(tmp_path)
+    for code in examples:
+        exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})

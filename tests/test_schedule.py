@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catstego.arnold import MAX_SIDE, Family, TransformSpec, period
+from catstego.arnold import FAMILIES, MAX_SIDE, check_stage, period
 from catstego.schedule import (
+    MAX_KEY_BYTES,
+    MAX_STAGES,
     KeyFormatError,
     ScrambleSchedule,
-    Stage,
     composite_matrix,
     parse_key,
     random_schedule,
@@ -20,19 +21,14 @@ from catstego.schedule import (
 import oracles
 from oracles import AI, BI, CI, I3, reference_scramble, reference_unscramble
 
-CLASSIC = TransformSpec(Family.CLASSIC)
-ROW3 = TransformSpec(Family.ROWFIRST, 3)
-
-specs = st.builds(
-    TransformSpec, st.sampled_from(list(Family)), st.integers(1, 10)
-)
+specs = st.tuples(st.sampled_from(FAMILIES), st.integers(1, 10))
 
 
 @st.composite
 def schedules(draw, side=None, max_side=32, max_stages=4, max_t=60):
     n = side if side is not None else draw(st.integers(1, max_side))
     m = draw(st.integers(1, max_stages))
-    stages = tuple(Stage(draw(specs), draw(st.integers(0, max_t))) for _ in range(m))
+    stages = tuple((*draw(specs), draw(st.integers(0, max_t))) for _ in range(m))
     order = tuple(draw(st.permutations(range(m))))
     return ScrambleSchedule(n, stages, order)
 
@@ -45,25 +41,25 @@ def _msg(n, seed=0):
 
 
 def test_single_stage_matches_golden():
-    sched = ScrambleSchedule(3, (Stage(CLASSIC, 1),), (0,))
+    sched = ScrambleSchedule(3, (("CLASSIC", 1, 1),), (0,))
     assert schedule_scramble(I3, sched).tolist() == AI[0]
 
 
 def test_two_stage_composition_matches_golden():
     # rowfirst(3) twice then classic twice lands on the classic orbit of BI2
-    sched = ScrambleSchedule(3, (Stage(ROW3, 2), Stage(CLASSIC, 2)), (0, 1))
+    sched = ScrambleSchedule(3, (("ROWFIRST", 3, 2), ("CLASSIC", 1, 2)), (0, 1))
     assert schedule_scramble(I3, sched).tolist() == CI[1]
     assert schedule_unscramble(np.array(CI[1]), sched).tolist() == I3.tolist()
 
 
 def test_all_zero_iterations_is_identity():
-    sched = ScrambleSchedule(3, (Stage(CLASSIC, 0), Stage(ROW3, 0)), (1, 0))
+    sched = ScrambleSchedule(3, (("CLASSIC", 1, 0), ("ROWFIRST", 3, 0)), (1, 0))
     assert np.array_equal(schedule_scramble(I3, sched), I3)
 
 
 def test_single_stage_unscramble_is_forward_remainder():
     # classic on N=3 has period 4, so undoing t=2 equals 2 more forward steps
-    sched = ScrambleSchedule(3, (Stage(CLASSIC, 2),), (0,))
+    sched = ScrambleSchedule(3, (("CLASSIC", 1, 2),), (0,))
     g = schedule_scramble(I3, sched)
     assert schedule_unscramble(g, sched).tolist() == (
         schedule_scramble(g, sched).tolist()
@@ -94,7 +90,7 @@ def test_composite_matrix_matches_oracle(sched):
 
 
 def test_order_changes_output():
-    stages = (Stage(CLASSIC, 1), Stage(ROW3, 1))
+    stages = (("CLASSIC", 1, 1), ("ROWFIRST", 3, 1))
     a = schedule_scramble(I3, ScrambleSchedule(3, stages, (0, 1)))
     b = schedule_scramble(I3, ScrambleSchedule(3, stages, (1, 0)))
     assert a.tolist() != b.tolist()
@@ -102,7 +98,7 @@ def test_order_changes_output():
 
 def test_omitting_a_stage_does_not_recover():
     msg = _msg(16, seed=9)
-    full = ScrambleSchedule(16, (Stage(ROW3, 3), Stage(CLASSIC, 2)), (0, 1))
+    full = ScrambleSchedule(16, (("ROWFIRST", 3, 3), ("CLASSIC", 1, 2)), (0, 1))
     scrambled = schedule_scramble(msg, full)
     for kept in (0, 1):
         partial = ScrambleSchedule(16, (full.stages[kept],), (0,))
@@ -110,7 +106,7 @@ def test_omitting_a_stage_does_not_recover():
 
 
 def test_side_mismatch_rejected():
-    sched = ScrambleSchedule(4, (Stage(CLASSIC, 1),), (0,))
+    sched = ScrambleSchedule(4, (("CLASSIC", 1, 1),), (0,))
     with pytest.raises(ValueError):
         schedule_scramble(I3, sched)
     with pytest.raises(ValueError):
@@ -126,7 +122,7 @@ def test_empty_stage_list_rejected():
 
 
 def test_bad_order_rejected():
-    stages = (Stage(CLASSIC, 1), Stage(ROW3, 1))
+    stages = (("CLASSIC", 1, 1), ("ROWFIRST", 3, 1))
     with pytest.raises(ValueError):
         ScrambleSchedule(3, stages, (0, 0))
     with pytest.raises(ValueError):
@@ -137,12 +133,21 @@ def test_bad_order_rejected():
 
 def test_bad_side_rejected():
     with pytest.raises(ValueError):
-        ScrambleSchedule(0, (Stage(CLASSIC, 1),), (0,))
+        ScrambleSchedule(0, (("CLASSIC", 1, 1),), (0,))
 
 
 def test_negative_stage_t_rejected():
-    with pytest.raises(ValueError):
-        Stage(CLASSIC, -1)
+    with pytest.raises(ValueError, match="iteration count t must be >= 0, got -1"):
+        check_stage("CLASSIC", 1, -1)
+    with pytest.raises(ValueError, match="iteration count t must be >= 0, got -1"):
+        ScrambleSchedule(3, (("ROWFIRST", 3, 2), ("CLASSIC", 1, -1)), (0, 1))
+    with pytest.raises(ValueError, match="iteration count t must be an integer"):
+        ScrambleSchedule(3, (("CLASSIC", 1, 1.5),), (0,))
+    # the family is checked first, then i, then t
+    with pytest.raises(ValueError, match="unknown family tag 'FOO'"):
+        ScrambleSchedule(3, (("FOO", 0, -1),), (0,))
+    with pytest.raises(ValueError, match="parameter i must be >= 1"):
+        check_stage("COLFIRST", 0, -1)
 
 
 # -- key file ------------------------------------------------------------------
@@ -151,8 +156,8 @@ def test_negative_stage_t_rejected():
 def test_key_round_trip_concrete():
     sched = ScrambleSchedule(
         128,
-        (Stage(TransformSpec(Family.ROWFIRST, 1), 28),
-         Stage(TransformSpec(Family.ROWFIRST, 2), 57)),
+        (("ROWFIRST", 1, 28),
+         ("ROWFIRST", 2, 57)),
         (0, 1),
     )
     text = serialize_key(sched, [0, 1, 2])
@@ -163,7 +168,7 @@ def test_key_round_trip_concrete():
 
 
 def test_key_serialization_shape():
-    sched = ScrambleSchedule(3, (Stage(ROW3, 2), Stage(CLASSIC, 2)), (1, 0))
+    sched = ScrambleSchedule(3, (("ROWFIRST", 3, 2), ("CLASSIC", 1, 2)), (1, 0))
     assert serialize_key(sched, [0]).splitlines() == [
         "N 3",
         "M 2",
@@ -194,12 +199,12 @@ def test_key_comments_and_blank_lines_ignored():
     )
     sched, planes = parse_key(text)
     assert sched.side == 8
-    assert sched.stages == (Stage(TransformSpec(Family.COLFIRST, 2), 5),)
+    assert sched.stages == (("COLFIRST", 2, 5),)
     assert planes == [0, 3]
 
 
 def test_empty_planes_line_allowed():
-    sched = ScrambleSchedule(8, (Stage(CLASSIC, 1),), (0,))
+    sched = ScrambleSchedule(8, (("CLASSIC", 1, 1),), (0,))
     back, planes = parse_key(serialize_key(sched, []))
     assert planes == []
 
@@ -246,6 +251,18 @@ def test_empty_planes_line_allowed():
          f"line 4: order ({'9' * 31} is not a permutation of 0..0"),
         (f"N 8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES {'9' * 4300}\n",
          f"line 5: plane index must be in [0, 7], got {'9' * 32}"),
+        # a STAGE line is checked tag first, then the integers, then their ranges
+        ("N 8\nM 1\nSTAGE FOO x 2\nORDER 0\nPLANES 0\n", "line 3: unknown family tag 'FOO'"),
+        ("N 8\nM 1\nSTAGE classic 1 1\nORDER 0\nPLANES 0\n", "line 3: unknown family tag 'classic'"),
+        ("N 8\nM 1\nSTAGE CLASSIC x 2\nORDER 0\nPLANES 0\n", "line 3: parameter i is not an integer: 'x'"),
+        ("N 8\nM 1\nSTAGE ROWFIRST 0 x\nORDER 0\nPLANES 0\n",
+         "line 3: iteration count t is not an integer: 'x'"),
+        ("N 8\nM 1\nSTAGE COLFIRST 0 -1\nORDER 0\nPLANES 0\n", "line 3: parameter i must be >= 1, got 0"),
+        # the stage count is bounded on its own line, before any STAGE line is read
+        ("N 8\nM 1001\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
+         "line 2: stage count 1001 exceeds the limit of 1000"),
+        (f"N 8\nM {'9' * 4300}\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
+         f"line 2: stage count {'9' * 32} exceeds the limit of 1000"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -262,7 +279,7 @@ def test_key_side_limit():
     with pytest.raises(KeyFormatError, match=f"line 1: side {MAX_SIDE + 1} exceeds the limit"):
         parse_key(key.format(MAX_SIDE + 1))
     with pytest.raises(ValueError, match="exceeds the limit"):
-        ScrambleSchedule(MAX_SIDE + 1, (Stage(CLASSIC, 1),), (0,))
+        ScrambleSchedule(MAX_SIDE + 1, (("CLASSIC", 1, 1),), (0,))
 
 
 def test_parse_errors_name_line_numbers():
@@ -285,9 +302,8 @@ def test_random_schedule_valid_and_nontrivial():
         sched = random_schedule(32, 2, random.Random(seed))
         assert sched.side == 32
         assert len(sched.stages) == 2
-        for stage in sched.stages:
-            p = period(stage.spec, 32)
-            assert 1 <= stage.t < max(2, p)
+        for family, i, t in sched.stages:
+            assert 1 <= t < max(2, period(family, i, 32))
         msg = _msg(32, seed)
         assert np.array_equal(
             schedule_unscramble(schedule_scramble(msg, sched), sched), msg
@@ -315,9 +331,9 @@ def test_random_schedule_computes_each_period_once(monkeypatch):
     # CLASSIC plus 20 each of ROWFIRST and COLFIRST
     calls = []
 
-    def counted(spec, n):
-        calls.append(spec)
-        return period(spec, n)
+    def counted(family, i, n):
+        calls.append((family, i))
+        return period(family, i, n)
 
     monkeypatch.setattr("catstego.schedule.period", counted)
     random_schedule(64, 500, random.Random(0))
@@ -329,8 +345,23 @@ def test_random_schedule_rejects_bad_args():
         random_schedule(0, 1, random.Random(0))
     with pytest.raises(ValueError):
         random_schedule(8, 0, random.Random(0))
+    # refused before the first draw, so a huge count costs nothing: no rng is needed
+    with pytest.raises(ValueError, match=f"stage count {MAX_STAGES + 1} exceeds the limit"):
+        random_schedule(8, MAX_STAGES + 1, None)
+
+
+def test_widest_keygen_key_fits_the_key_file_bound():
+    # keygen draws i <= 20 and 0 < t < period, and a period is below side**4,
+    # the order of the matrix group mod side
+    stages = (("ROWFIRST", 20, MAX_SIDE**4),) * MAX_STAGES
+    sched = ScrambleSchedule(MAX_SIDE, stages, tuple(range(MAX_STAGES)))
+    text = serialize_key(sched, list(range(8)))
+    assert len(text.encode()) <= MAX_KEY_BYTES
+    assert parse_key(text) == (sched, list(range(8)))
+    with pytest.raises(ValueError, match=f"stage count {MAX_STAGES + 1} exceeds the limit"):
+        ScrambleSchedule(MAX_SIDE, stages + stages[:1], tuple(range(MAX_STAGES + 1)))
 
 
 def test_zero_padded_key_integers_parse():
     sched, _ = parse_key("N 008\nM 1\nSTAGE CLASSIC 1 -0\nORDER 0\nPLANES 0\n")
-    assert sched.side == 8 and sched.stages[0].t == 0
+    assert sched.side == 8 and sched.stages == (("CLASSIC", 1, 0),)

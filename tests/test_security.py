@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from catstego.arnold import Family, TransformSpec, matrix_for
+from catstego.arnold import FAMILIES, matrix_for
 from catstego.bitplane import embed
 from catstego.schedule import random_schedule, schedule_scramble
 from catstego.synth import natural_binary, natural_gray
@@ -81,8 +81,8 @@ def test_two_phases_collapse_to_one_scatter(side):
 @pytest.mark.parametrize("side", sorted(DET_PM1_COUNTS))
 def test_key_space_is_every_det_pm1_matrix(side):
     generators = {
-        tuple(v % side for v in matrix_for(TransformSpec(family, i)))
-        for family in Family
+        tuple(v % side for v in matrix_for(family, i))
+        for family in FAMILIES
         for i in range(1, 21)
     }
     reachable = _closure(generators, side)
