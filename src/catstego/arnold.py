@@ -56,7 +56,7 @@ FAMILIES = ("CLASSIC", "ROWFIRST", "COLFIRST")
 def _family(tag):
     """``tag`` if it names a family; a ValueError otherwise."""
     if tag not in FAMILIES:
-        raise ValueError(f"unknown family tag {tag!r}")
+        raise ValueError(f"unknown family tag {tag[:32] if isinstance(tag, str) else tag!r}")
     return tag
 
 

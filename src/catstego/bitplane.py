@@ -3,6 +3,10 @@
 Plane indices are 0-based from the least significant bit, so plane p carries
 weight 2**p. Embedding replaces whole planes with scrambled message bits and
 leaves every other plane untouched, which is what makes extraction exact.
+
+A plane travels as P4 rows, the (n, ceil(n/8)) uint8 raster of a P4 file:
+each row's bits MSB first, padded to a byte. The ``*_rows`` functions work in
+that layout; the others convert to or from 0/1 images at the boundary.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .arnold import _as_int, check_side, grid_side
+from .arnold import _ROWS, _as_int, check_side, grid_side
 from .schedule import ScrambleSchedule, check_planes, schedule_scramble, schedule_unscramble
 
 
@@ -40,59 +44,95 @@ def as_binary(img: np.ndarray) -> np.ndarray:
     return a.astype(np.uint8, copy=False)
 
 
+def rows_to_bits(rows: np.ndarray) -> np.ndarray:
+    """P4 rows as a 0/1 image; the padding bits are dropped."""
+    return np.unpackbits(rows, axis=1, count=len(rows))
+
+
+def split_rows(img: np.ndarray, planes) -> list[np.ndarray]:
+    """Bit p of every pixel as P4 rows, for each p in ``planes``, in one pass."""
+    img, planes = as_gray(img), check_planes(planes)
+    n = img.shape[0]
+    out = [np.empty((n, (n + 7) // 8), np.uint8) for _ in planes]
+    scratch = np.empty((min(n, _ROWS), n), np.uint8)
+    for i in range(0, n, _ROWS):
+        block = img[i : i + _ROWS]
+        bits = scratch[: len(block)]
+        for rows, p in zip(out, planes):
+            # packbits packs any nonzero byte as a 1, so the bit needs no shift
+            rows[i : i + _ROWS] = np.packbits(np.bitwise_and(block, np.uint8(1 << p), out=bits), axis=1)
+    return out
+
+
 def get_plane(img: np.ndarray, p: int) -> np.ndarray:
     """Bit p of every pixel, as a binary image."""
-    img = as_gray(img)
-    (p,) = check_planes([p])
-    return (img >> p) & np.uint8(1)
+    return rows_to_bits(split_rows(img, [p])[0])
 
 
-def embed(
-    cover: np.ndarray,
-    messages: Iterable[np.ndarray],
-    sched: ScrambleSchedule,
-    planes: list[int],
-) -> np.ndarray:
+def _fold(n: int, messages: Iterable[np.ndarray], planes: list[int]) -> np.ndarray:
+    """The P4 rows of message k for planes[k], folded into one byte per pixel
+    a block of rows at a time. They are held only until this returns."""
+    held, count = [], 0
+    for count, rows in enumerate(messages, 1):
+        if count <= len(planes):
+            if np.shape(rows) != (n, (n + 7) // 8):
+                raise ValueError(f"message side {len(rows)} does not match cover side {n}")
+            held.append(rows)
+    if count != len(planes):
+        raise ValueError(f"{count} messages but {len(planes)} planes; counts must match")
+    # the first plane sets every byte, so only a fold of no planes needs zeros
+    packed = (np.empty if held else np.zeros)((n, n), dtype=np.uint8)
+    for i in range(0, n, _ROWS):
+        block = packed[i : i + _ROWS]
+        for k, (rows, p) in enumerate(zip(held, planes)):
+            bits = np.unpackbits(rows[i : i + _ROWS], axis=1, count=n)
+            # a multiply by 2**p, not a shift: numpy does not vectorise uint8 shifts
+            if k:
+                block |= np.multiply(bits, np.uint8(1 << p), out=bits)
+            else:
+                np.multiply(bits, np.uint8(1 << p), out=block)
+    return packed
+
+
+def embed_rows(cover: np.ndarray, messages: Iterable[np.ndarray], sched: ScrambleSchedule,
+               planes: list[int]) -> np.ndarray:
+    """``embed`` for messages given as P4 rows."""
+    cover, planes = as_gray(cover), check_planes(planes)
+    # scatter first, then merge the cover into its output a block at a time
+    stego = schedule_scramble(_fold(len(cover), messages, planes), sched)
+    keep = ~np.uint8(sum(1 << p for p in planes))
+    for i in range(0, len(stego), _ROWS):
+        stego[i : i + _ROWS] |= cover[i : i + _ROWS] & keep
+    return stego
+
+
+def embed(cover: np.ndarray, messages: Iterable[np.ndarray], sched: ScrambleSchedule,
+          planes: list[int]) -> np.ndarray:
     """Scramble each message with ``sched`` and write it into its bit plane.
 
     Message k goes to planes[k]; planes must be distinct and every message
     must match the cover side. Planes not listed stay bit-identical. All
     planes share one permutation, so the messages are packed into one byte
     per pixel and scrambled together. ``messages`` may be any iterable: each
-    message is folded into the packed byte as it arrives and then released,
-    so a generator that reads them one by one holds one at a time.
+    message is packed into P4 rows as it arrives and then released, so a
+    generator that reads them one by one holds one at a time.
     """
-    cover = as_gray(cover)
-    planes = check_planes(planes)
-    packed = np.zeros(cover.shape, dtype=np.uint8)
-    count = 0
-    for msg in messages:
-        if count < len(planes):
-            msg = as_binary(msg)
-            if msg.shape != cover.shape:
-                raise ValueError(
-                    f"message side {msg.shape[0]} does not match cover side {cover.shape[0]}"
-                )
-            # a multiply by 2**p, not a shift: numpy does not vectorise uint8 shifts
-            packed |= msg * np.uint8(1 << planes[count])
-        count += 1
-        del msg  # not kept alive through the next read or the scatter
-    if count != len(planes):
-        raise ValueError(f"{count} messages but {len(planes)} planes; counts must match")
-    # scatter first, so the masked cover is not held through the scatter
-    return schedule_scramble(packed, sched) | (cover & ~np.uint8(sum(1 << p for p in planes)))
+    cover, planes = as_gray(cover), check_planes(planes)
+    rows = (np.packbits(as_binary(msg), axis=1) if k < len(planes) else msg
+            for k, msg in enumerate(messages))
+    return embed_rows(cover, rows, sched, planes)
 
 
-def extract(
-    stego: np.ndarray, sched: ScrambleSchedule, planes: list[int]
-) -> list[np.ndarray]:
-    """Read each listed plane and unscramble it back into a message."""
-    stego = as_gray(stego)
-    planes = check_planes(planes)
+def extract_rows(stego: np.ndarray, sched: ScrambleSchedule, planes: list[int]) -> list[np.ndarray]:
+    """``extract`` with each message as P4 rows."""
+    stego, planes = as_gray(stego), check_planes(planes)
     # the gather moves whole bytes, so the other planes need no mask first
-    scrambled = schedule_unscramble(stego, sched)
-    bits = [scrambled >> np.uint8(p) for p in planes]  # masked in place: one array a plane
-    return [np.bitwise_and(b, np.uint8(1), out=b) for b in bits]
+    return split_rows(schedule_unscramble(stego, sched), planes)
+
+
+def extract(stego: np.ndarray, sched: ScrambleSchedule, planes: list[int]) -> list[np.ndarray]:
+    """Read each listed plane and unscramble it back into a message."""
+    return [rows_to_bits(rows) for rows in extract_rows(stego, sched, planes)]
 
 
 # -- byte payload packing ------------------------------------------------------
@@ -104,32 +144,39 @@ def capacity_bytes(side: int) -> int:
     return max(0, (side * side - 32) // 8)
 
 
-def pack_payload(data: bytes, side: int) -> np.ndarray:
-    """Lay bytes out as a binary image: 32-bit big-endian length header, then
-    payload bytes MSB-first, zero padding, all row-major."""
+def pack_payload_rows(data: bytes, side: int) -> np.ndarray:
+    """Lay bytes out as the P4 rows of a plane: 32-bit big-endian length
+    header, then payload bytes MSB-first, zero padding, all row-major."""
     side = check_side(side)
     data = bytes(data)
     if 32 + 8 * len(data) > side * side:
-        raise ValueError(
-            f"payload of {len(data)} bytes exceeds capacity: "
-            f"a {side}x{side} plane holds at most {capacity_bytes(side)} bytes"
-        )
-    framed = len(data).to_bytes(4, "big") + data
-    bits = np.unpackbits(np.frombuffer(framed, dtype=np.uint8))
-    out = np.zeros(side * side, dtype=np.uint8)
-    out[: bits.size] = bits
-    return out.reshape(side, side)
+        raise ValueError(f"payload of {len(data)} bytes exceeds capacity: "
+                         f"a {side}x{side} plane holds at most {capacity_bytes(side)} bytes")
+    stream = np.zeros(-(-side * side // 8), dtype=np.uint8)
+    stream[: 4 + len(data)] = np.frombuffer(len(data).to_bytes(4, "big") + data, np.uint8)
+    if side % 8:  # each row is padded to a byte, so the bits are laid out again
+        return np.packbits(np.unpackbits(stream, count=side * side).reshape(side, side), axis=1)
+    return stream.reshape(side, side // 8)
+
+
+def pack_payload(data: bytes, side: int) -> np.ndarray:
+    """``pack_payload_rows`` as a binary image."""
+    return rows_to_bits(pack_payload_rows(data, side))
+
+
+def unpack_payload_rows(rows: np.ndarray) -> bytes:
+    """Recover the bytes packed by pack_payload_rows."""
+    n = len(rows)
+    if n * n < 32:
+        raise ValueError("plane too small to hold a payload header")
+    stream = np.packbits(rows_to_bits(rows)) if n % 8 else rows.reshape(-1)
+    length = int.from_bytes(stream[:4].tobytes(), "big")
+    if 32 + 8 * length > n * n:
+        raise ValueError(f"corrupt payload header: {length} bytes claimed, "
+                         f"plane holds at most {(n * n - 32) // 8}")
+    return stream[4 : 4 + length].tobytes()
 
 
 def unpack_payload(bits: np.ndarray) -> bytes:
     """Recover the bytes packed by pack_payload."""
-    flat = as_binary(bits).ravel()
-    if flat.size < 32:
-        raise ValueError("plane too small to hold a payload header")
-    length = int.from_bytes(np.packbits(flat[:32]).tobytes(), "big")
-    if 32 + 8 * length > flat.size:
-        raise ValueError(
-            f"corrupt payload header: {length} bytes claimed, "
-            f"plane holds at most {(flat.size - 32) // 8}"
-        )
-    return np.packbits(flat[32 : 32 + 8 * length]).tobytes()
+    return unpack_payload_rows(np.packbits(as_binary(bits), axis=1))

@@ -43,18 +43,13 @@ def cmd_embed(args) -> int:
     cover = netpbm.read_gray(args.cover)
     sched, planes = _load_key(args.key)
     if len(args.messages) != len(planes):
-        raise ValueError(
-            f"{len(args.messages)} message files but key lists {len(planes)} planes"
-        )
-    # read lazily: embed folds each message in before the next file is read
+        raise ValueError(f"{len(args.messages)} message files but key lists {len(planes)} planes")
+    # each message stays P4 rows, 1/8 byte per pixel, from its file to the fold
     n = cover.shape[0]
     limit, what = bitplane.capacity_bytes(n), f"payload for one {n}x{n} plane"
-    messages = (
-        bitplane.pack_payload(_read_at_most(path, limit, what), n) if args.pack
-        else netpbm.read_binary(path)
-        for path in args.messages
-    )
-    stego = bitplane.embed(cover, messages, sched, planes)
+    messages = (bitplane.pack_payload_rows(_read_at_most(path, limit, what), n) if args.pack
+                else netpbm.read_rows(path) for path in args.messages)
+    stego = bitplane.embed_rows(cover, messages, sched, planes)
     netpbm.write_gray(args.out, stego)
     print(metrics.compare(cover, stego).csv(), end="")
     return 0
@@ -64,14 +59,12 @@ def cmd_extract(args) -> int:
     stego = netpbm.read_gray(args.stego)
     sched, planes = _load_key(args.key)
     if len(args.outputs) != len(planes):
-        raise ValueError(
-            f"{len(args.outputs)} output files but key lists {len(planes)} planes"
-        )
-    for path, msg in zip(args.outputs, bitplane.extract(stego, sched, planes)):
+        raise ValueError(f"{len(args.outputs)} output files but key lists {len(planes)} planes")
+    for path, rows in zip(args.outputs, bitplane.extract_rows(stego, sched, planes)):
         if args.unpack:
-            netpbm.atomic_write_bytes(path, bitplane.unpack_payload(msg))
+            netpbm.atomic_write_bytes(path, bitplane.unpack_payload_rows(rows))
         else:
-            netpbm.write_binary(path, msg)
+            netpbm.write_rows(path, rows)
     return 0
 
 
@@ -95,8 +88,8 @@ def cmd_planes(args) -> int:
     img = netpbm.read_gray(args.image)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for p in range(8):
-        netpbm.write_binary(outdir / f"plane_{p}.pbm", bitplane.get_plane(img, p))
+    for p, rows in enumerate(bitplane.split_rows(img, range(8))):
+        netpbm.write_rows(outdir / f"plane_{p}.pbm", rows)
     return 0
 
 

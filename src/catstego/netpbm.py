@@ -17,7 +17,7 @@ import re
 import numpy as np
 
 from .arnold import _decimal, check_side
-from .bitplane import as_binary, as_gray
+from .bitplane import as_binary, as_gray, rows_to_bits
 
 # The header is read in one piece of at most this many bytes.
 _HEADER_MAX = 1 << 16
@@ -89,22 +89,16 @@ def _raster(fh, start: bytes, shape: tuple[int, int], path) -> np.ndarray:
     buf[:got] = start[:got]
     got += fh.readinto(buf[got:])
     if got < raster.size:
-        raise NetpbmError(
-            f"{path}: truncated raster, expected {raster.size} bytes, got {got}"
-        )
+        raise NetpbmError(f"{path}: truncated raster, expected {raster.size} bytes, got {got}")
     return raster
 
 
-def _read(path, magics: tuple[bytes, ...]) -> tuple[str, np.ndarray]:
+def _read(path, magics: tuple[bytes, ...]) -> tuple[bytes, np.ndarray]:
     """Open ``path`` once and read an image whose magic is one of ``magics``:
-    ("gray", uint8 image) for P5, ("binary", 0/1 image) for P4."""
+    the magic and the raster, an (n, n) image for P5 and P4 rows for P4."""
     with open(path, "rb") as fh:
         magic, n, start = _header(fh, magics, path)
-        if magic == b"P5":
-            return "gray", _raster(fh, start, (n, n), path)
-        rows = _raster(fh, start, (n, (n + 7) // 8), path)
-    # P4 rows are padded to byte boundaries, bits packed MSB-first
-    return "binary", np.unpackbits(rows, axis=1, count=n)
+        return magic, _raster(fh, start, (n, n if magic == b"P5" else (n + 7) // 8), path)
 
 
 def read_gray(path) -> np.ndarray:
@@ -120,19 +114,28 @@ def write_gray(path, img: np.ndarray) -> None:
     atomic_write_bytes(path, np.ascontiguousarray(img).ravel(), head=header)
 
 
+def read_rows(path) -> np.ndarray:
+    """Read a binary PBM (P4) square image as its P4 rows, padding as stored."""
+    return _read(path, (b"P4",))[1]
+
+
 def read_binary(path) -> np.ndarray:
     """Read a binary PBM (P4) square image as a 0/1 uint8 array."""
-    return _read(path, (b"P4",))[1]
+    return rows_to_bits(read_rows(path))
+
+
+def write_rows(path, rows: np.ndarray) -> None:
+    """Write the P4 rows of a square plane, shape (n, ceil(n/8)), as binary PBM (P4)."""
+    n = len(rows)
+    atomic_write_bytes(path, np.ascontiguousarray(rows).ravel(), head=f"P4\n{n} {n}\n".encode("ascii"))
 
 
 def write_binary(path, img: np.ndarray) -> None:
     """Write a square 0/1 image as binary PBM (P4), rows padded per the format."""
-    img = as_binary(img)
-    n = img.shape[0]
-    packed = np.packbits(img, axis=1)
-    atomic_write_bytes(path, packed.ravel(), head=f"P4\n{n} {n}\n".encode("ascii"))
+    write_rows(path, np.packbits(as_binary(img), axis=1))
 
 
 def read_auto(path) -> tuple[str, np.ndarray]:
     """Read either supported format; returns ("gray", img) or ("binary", img)."""
-    return _read(path, (b"P4", b"P5"))
+    magic, raster = _read(path, (b"P4", b"P5"))
+    return ("gray", raster) if magic == b"P5" else ("binary", rows_to_bits(raster))

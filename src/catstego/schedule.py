@@ -21,21 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arnold import (
-    _IDENT,
-    FAMILIES,
-    _as_int,
-    _decimal,
-    _family,
-    _mul,
-    _pow,
-    _reduce,
-    check_side,
-    check_stage,
-    grid_side,
-    matrix_for,
-    period,
-)
+from .arnold import (_IDENT, FAMILIES, _as_int, _decimal, _family, _mul, _pow, _reduce,
+                     check_side, check_stage, grid_side, matrix_for, period)
 
 # called through these module names, so a tracer can rebind them (perfbench/spans.py)
 from .arnold import gather as unscramble, scatter as scramble
@@ -150,7 +137,7 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
         if lineno is None:
             raise KeyFormatError(f"unexpected end of key: expected {expected} line")
         if toks[0] != expected:
-            raise KeyFormatError(f"line {lineno}: expected {expected} line, got {toks[0]!r}")
+            raise KeyFormatError(f"line {lineno}: expected {expected} line, got {toks[0][:32]!r}")
         if width and len(toks) != width:
             raise KeyFormatError(f"line {lineno}: {expected} line needs {needs}")
         return lineno, toks

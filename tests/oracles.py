@@ -159,6 +159,23 @@ def reference_extract(stego, sched, planes):
     return [reference_unscramble((stego >> np.uint8(p)) & np.uint8(1), sched) for p in planes]
 
 
+def reference_pack(data, side):
+    """A side x side 0/1 image: 32-bit big-endian byte count, then the bytes
+    MSB-first, then zeros, all row-major, from one flat bit list."""
+    framed = len(data).to_bytes(4, "big") + bytes(data)
+    bits = [(byte >> (7 - j)) & 1 for byte in framed for j in range(8)]
+    assert len(bits) <= side * side, "payload exceeds the plane"
+    bits += [0] * (side * side - len(bits))
+    return np.array(bits, dtype=np.uint8).reshape(side, side)
+
+
+def reference_unpack(plane):
+    """The bytes framed by ``reference_pack``, read back bit by bit."""
+    bits = np.asarray(plane).ravel().tolist()
+    values = [int("".join(map(str, bits[k : k + 8])), 2) for k in range(0, len(bits) - 7, 8)]
+    return bytes(values[4 : 4 + int.from_bytes(bytes(values[:4]), "big")])
+
+
 # -- synthetic imagery ---------------------------------------------------------
 
 

@@ -181,7 +181,7 @@ def _argv(ws, command):
 
 
 @pytest.mark.parametrize("command, bound", [
-    ("embed", 7), ("embed --pack", 7), ("extract", 6), ("scramble", 5), ("unscramble", 5),
+    ("embed", 7), ("embed --pack", 7), ("extract", 5), ("scramble", 5), ("unscramble", 5),
     ("metrics", 4), ("planes", 3),
 ])
 def test_command_peak_memory_per_pixel(large, command, bound, capsys):

@@ -258,6 +258,11 @@ def test_empty_planes_line_allowed():
         ("N 8\nM 1\nSTAGE ROWFIRST 0 x\nORDER 0\nPLANES 0\n",
          "line 3: iteration count t is not an integer: 'x'"),
         ("N 8\nM 1\nSTAGE COLFIRST 0 -1\nORDER 0\nPLANES 0\n", "line 3: parameter i must be >= 1, got 0"),
+        # a 65,000-character token is echoed as its first 32 characters
+        pytest.param("x" * 65000 + " 8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
+                     f"line 1: expected N line, got {'x' * 32!r}", id="long-line-tag"),
+        pytest.param("N 8\nM 1\nSTAGE " + "X" * 65000 + " 1 1\nORDER 0\nPLANES 0\n",
+                     f"line 3: unknown family tag {'X' * 32!r}", id="long-family-tag"),
         # the stage count is bounded on its own line, before any STAGE line is read
         ("N 8\nM 1001\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
          "line 2: stage count 1001 exceeds the limit of 1000"),
