@@ -17,7 +17,6 @@ every available core. Every side is an integer in [1, MAX_SIDE], checked by
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
@@ -32,7 +31,7 @@ def _as_int(value, what: str) -> int:
     try:
         return int(operator.index(value))
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r:.32}") from None
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -166,7 +165,7 @@ def _shears(m: tuple, n: int) -> list[tuple[int, int] | None]:
     if math.gcd(b, n) != 1:
         # (a, b) is a unimodular row, so some a + k*b is a unit (Z/n has
         # stable rank 1); m = m' T L(-k), and m' = m L(k) T has it as its b
-        k = next(k for k in itertools.count() if math.gcd(a + k * b, n) == 1)
+        k = next(k for k in range(n) if math.gcd(a + k * b, n) == 1)
         steps += [(1, -k % n), None]
         a, b, c, d, det = b, (a + k * b) % n, d, (c + k * d) % n, -det
     # b is a unit: [a b; c d] = [b 0; d 1] T [-det/b 0; a/b 1]

@@ -6,7 +6,7 @@ MSE is in squared intensity units; PSNR uses the 8-bit peak of 255.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -59,13 +59,10 @@ def bit_preservation_ratio(cover: np.ndarray, stego: np.ndarray) -> float:
     return 1.0 - changed / (8 * diff.size)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(namedtuple("MetricsReport", "mse psnr bit_preservation")):
     """PSNR/MSE/bit-preservation comparison; psnr is None when infinite."""
 
-    mse: float
-    psnr: float | None
-    bit_preservation: float
+    __slots__ = ()
 
     def csv(self) -> str:
         psnr_text = "inf" if self.psnr is None else f"{self.psnr:.6g}"

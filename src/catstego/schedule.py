@@ -17,7 +17,7 @@ Key file format (UTF-8, LF line endings, ``#`` starts a comment):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,24 +47,26 @@ def _stage_count(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class ScrambleSchedule:
-    side: int
-    stages: tuple[tuple[str, int, int], ...]
-    order: tuple[int, ...]
+class ScrambleSchedule(namedtuple("ScrambleSchedule", "side stages order")):
+    """The key as the named tuple (side, stages, order), each stage (family, i, t);
+    it is checked and normalized however it is made, ``_replace`` and ``_make`` too."""
 
-    def __post_init__(self):
-        side = check_side(self.side)
-        stages = tuple(check_stage(*stage) for stage in self.stages)
+    __slots__ = ()
+
+    def __new__(cls, side, stages, order):
+        side = check_side(side)
+        stages = tuple(check_stage(*stage) for stage in stages)
         _stage_count(len(stages))
-        order = tuple(_as_int(j, "order entry") for j in self.order)
+        order = tuple(_as_int(j, "order entry") for j in order)
         if sorted(order) != list(range(len(stages))):
             raise ValueError(
                 f"order {order!s:.32} is not a permutation of 0..{len(stages) - 1}"
             )
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "order", order)
+        return super().__new__(cls, side, stages, order)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def _check_side(grid: np.ndarray, sched: ScrambleSchedule) -> None:
@@ -104,7 +106,7 @@ def check_planes(planes) -> list[int]:
         if not 0 <= p <= 7:
             raise ValueError(f"plane index must be in [0, 7], got {p!s:.32}")
     if len(set(planes)) != len(planes):
-        raise ValueError(f"duplicate plane index in {planes}")
+        raise ValueError(f"duplicate plane index in {planes!s:.32}")
     return planes
 
 
@@ -118,21 +120,15 @@ def serialize_key(sched: ScrambleSchedule, planes: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _on_line(lineno: int, make, *args):
-    """``make(*args)``; a ValueError becomes a KeyFormatError naming the line."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise KeyFormatError(f"line {lineno}: {exc}") from None
-
-
 def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
     """Parse key text back into (schedule, planes). Inverse of serialize_key."""
     lines = ((n, raw.split("#", 1)[0].split()) for n, raw in enumerate(text.splitlines(), 1))
     entries = ((n, toks) for n, toks in lines if toks)
+    lineno = None
 
     def take(expected: str, width: int = 0, needs: str = "exactly one value"):
-        """The next entry; it must be an ``expected`` line of ``width`` tokens, if given."""
+        """Tokens of the next entry, an ``expected`` line of ``width`` tokens; sets ``lineno``."""
+        nonlocal lineno
         lineno, toks = next(entries, (None, None))
         if lineno is None:
             raise KeyFormatError(f"unexpected end of key: expected {expected} line")
@@ -140,29 +136,25 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
             raise KeyFormatError(f"line {lineno}: expected {expected} line, got {toks[0][:32]!r}")
         if width and len(toks) != width:
             raise KeyFormatError(f"line {lineno}: {expected} line needs {needs}")
-        return lineno, toks
+        return toks
 
-    lineno, toks = take("N", 2)
-    side = _on_line(lineno, lambda: check_side(_decimal(toks[1], "side")))
-
-    lineno, toks = take("M", 2)
-    m = _on_line(lineno, lambda: _stage_count(_decimal(toks[1], "stage count")))
-
-    stages = []
-    for _ in range(m):
-        lineno, toks = take("STAGE", 4, "<family> <i> <t>")
-        # arguments run left to right: the tag is checked before i and t parse
-        stages.append(_on_line(lineno, lambda: check_stage(
-            _family(toks[1]), _decimal(toks[2], "parameter i"),
-            _decimal(toks[3], "iteration count t"))))
-
-    lineno, toks = take("ORDER")
-    order = tuple(_on_line(lineno, _decimal, tok, "order entry") for tok in toks[1:])
-    sched = _on_line(lineno, ScrambleSchedule, side, tuple(stages), order)
-
-    lineno, toks = take("PLANES")
-    planes = [_on_line(lineno, _decimal, tok, "plane index") for tok in toks[1:]]
-    planes = _on_line(lineno, check_planes, planes)
+    # each line is checked as it is read, so a ValueError names the line taken last
+    try:
+        side = check_side(_decimal(take("N", 2)[1], "side"))
+        m = _stage_count(_decimal(take("M", 2)[1], "stage count"))
+        stages = []
+        for _ in range(m):
+            _, family, i, t = take("STAGE", 4, "<family> <i> <t>")
+            # arguments run left to right: the tag is checked before i and t parse
+            stages.append(check_stage(_family(family), _decimal(i, "parameter i"),
+                                      _decimal(t, "iteration count t")))
+        order = tuple(_decimal(tok, "order entry") for tok in take("ORDER")[1:])
+        sched = ScrambleSchedule(side, tuple(stages), order)
+        planes = check_planes([_decimal(tok, "plane index") for tok in take("PLANES")[1:]])
+    except KeyFormatError:
+        raise
+    except ValueError as exc:
+        raise KeyFormatError(f"line {lineno}: {exc}") from None
 
     lineno, _ = next(entries, (None, None))
     if lineno is not None:

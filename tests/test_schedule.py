@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -134,6 +136,10 @@ def test_bad_order_rejected():
 def test_bad_side_rejected():
     with pytest.raises(ValueError):
         ScrambleSchedule(0, (("CLASSIC", 1, 1),), (0,))
+    # a value that is not an integer is echoed as at most 32 characters
+    with pytest.raises(ValueError) as err:
+        ScrambleSchedule("9" * 100_000, (("CLASSIC", 1, 1),), (0,))
+    assert str(err.value) == f"side must be an integer, got {repr('9' * 100_000)[:32]}"
 
 
 def test_negative_stage_t_rejected():
@@ -148,6 +154,52 @@ def test_negative_stage_t_rejected():
         ScrambleSchedule(3, (("FOO", 0, -1),), (0,))
     with pytest.raises(ValueError, match="parameter i must be >= 1"):
         check_stage("COLFIRST", 0, -1)
+
+
+# -- the schedule as a named tuple ---------------------------------------------
+
+SCHED = ScrambleSchedule(8, (("ROWFIRST", 3, 2), ("CLASSIC", 5, 2)), [1, 0])
+
+
+def test_schedule_is_a_normalized_named_tuple():
+    assert SCHED == (8, (("ROWFIRST", 3, 2), ("CLASSIC", 1, 2)), (1, 0))
+    assert SCHED._fields == ("side", "stages", "order")
+    assert repr(SCHED) == ("ScrambleSchedule(side=8, stages=(('ROWFIRST', 3, 2), "
+                           "('CLASSIC', 1, 2)), order=(1, 0))")
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(side=0), "side must be >= 1, got 0"),
+    (dict(order=(0, 0)), "order (0, 0) is not a permutation of 0..1"),
+    (dict(stages=(("ROWFIRST", 3, 2), ("SPIRAL", 1, 2))), "unknown family tag 'SPIRAL'"),
+])
+def test_replace_and_make_check_as_the_constructor_does(fields, message):
+    made = {**SCHED._asdict(), **fields}
+    for build in (lambda: ScrambleSchedule(**made), lambda: SCHED._replace(**fields),
+                  lambda: ScrambleSchedule._make(made.values())):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_replace_and_make_normalize():
+    assert SCHED._replace(order=[0, 1]).order == (0, 1)
+    assert SCHED._replace(stages=(("CLASSIC", 7, 1), ("COLFIRST", 2, 0))).stages == (
+        ("CLASSIC", 1, 1), ("COLFIRST", 2, 0))
+    assert ScrambleSchedule._make(tuple(SCHED)) == SCHED
+
+
+def test_schedule_pickles_and_copies_equal():
+    for back in (pickle.loads(pickle.dumps(SCHED)), copy.deepcopy(SCHED), copy.copy(SCHED)):
+        assert type(back) is ScrambleSchedule
+        assert back == SCHED
+
+
+def test_schedule_attributes_cannot_be_assigned():
+    with pytest.raises(AttributeError):
+        SCHED.side = 16
+    with pytest.raises(AttributeError):
+        SCHED.extra = 1
 
 
 # -- key file ------------------------------------------------------------------
@@ -263,6 +315,9 @@ def test_empty_planes_line_allowed():
                      f"line 1: expected N line, got {'x' * 32!r}", id="long-line-tag"),
         pytest.param("N 8\nM 1\nSTAGE " + "X" * 65000 + " 1 1\nORDER 0\nPLANES 0\n",
                      f"line 3: unknown family tag {'X' * 32!r}", id="long-family-tag"),
+        pytest.param("N 8\nM 1\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES" + " 0" * 30000 + "\n",
+                     f"line 5: duplicate plane index in {str([0] * 11)[:32]}",
+                     id="long-duplicate-planes"),
         # the stage count is bounded on its own line, before any STAGE line is read
         ("N 8\nM 1001\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
          "line 2: stage count 1001 exceeds the limit of 1000"),
