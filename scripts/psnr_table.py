@@ -35,7 +35,9 @@ def main():
         cover = natural_gray(args.side, seed=args.seed + 10 * c)
         for k in (1, 2, 3, 4):
             planes = list(range(k))
-            msgs = [rng.integers(0, 2, cover.shape, dtype=np.uint8) for _ in planes]
+            # each message as P4 rows, the plane layout embed takes
+            msgs = [np.packbits(rng.integers(0, 2, cover.shape, dtype=np.uint8), axis=1)
+                    for _ in planes]
             stego = embed(cover, msgs, sched, planes)
             expected_mse = 0.5 * sum(4**p for p in planes)
             closed = 10 * math.log10(255**2 / expected_mse)

@@ -5,8 +5,8 @@ weight 2**p. Embedding replaces whole planes with scrambled message bits and
 leaves every other plane untouched, which is what makes extraction exact.
 
 A plane travels as P4 rows, the (n, ceil(n/8)) uint8 raster of a P4 file:
-each row's bits MSB first, padded to a byte. The ``*_rows`` functions work in
-that layout; the others convert to or from 0/1 images at the boundary.
+each row's bits MSB first, padded to a byte. Every plane here is in that
+layout: ``np.packbits(bits, axis=1)`` packs a 0/1 image, ``rows_to_bits`` unpacks.
 """
 
 from __future__ import annotations
@@ -44,8 +44,18 @@ def as_binary(img: np.ndarray) -> np.ndarray:
     return a.astype(np.uint8, copy=False)
 
 
+def check_rows(rows: np.ndarray) -> np.ndarray:
+    """Validate P4 rows, a uint8 array of shape (n, ceil(n/8)) with n >= 1."""
+    a = np.asarray(rows)
+    if a.dtype != np.uint8 or a.ndim != 2 or len(a) < 1 or a.shape[1] != (len(a) + 7) // 8:
+        raise ValueError(f"P4 rows must be uint8 of shape (n, ceil(n/8)) with n >= 1, "
+                         f"got {a.dtype} of shape {a.shape!s:.32}")
+    return a
+
+
 def rows_to_bits(rows: np.ndarray) -> np.ndarray:
     """P4 rows as a 0/1 image; the padding bits are dropped."""
+    rows = check_rows(rows)
     return np.unpackbits(rows, axis=1, count=len(rows))
 
 
@@ -64,18 +74,13 @@ def split_rows(img: np.ndarray, planes) -> list[np.ndarray]:
     return out
 
 
-def get_plane(img: np.ndarray, p: int) -> np.ndarray:
-    """Bit p of every pixel, as a binary image."""
-    return rows_to_bits(split_rows(img, [p])[0])
-
-
 def _fold(n: int, messages: Iterable[np.ndarray], planes: list[int]) -> np.ndarray:
     """The P4 rows of message k for planes[k], folded into one byte per pixel
     a block of rows at a time. They are held only until this returns."""
     held, count = [], 0
     for count, rows in enumerate(messages, 1):
         if count <= len(planes):
-            if np.shape(rows) != (n, (n + 7) // 8):
+            if len(rows := check_rows(rows)) != n:
                 raise ValueError(f"message side {len(rows)} does not match cover side {n}")
             held.append(rows)
     if count != len(planes):
@@ -94,9 +99,16 @@ def _fold(n: int, messages: Iterable[np.ndarray], planes: list[int]) -> np.ndarr
     return packed
 
 
-def embed_rows(cover: np.ndarray, messages: Iterable[np.ndarray], sched: ScrambleSchedule,
-               planes: list[int]) -> np.ndarray:
-    """``embed`` for messages given as P4 rows."""
+def embed(cover: np.ndarray, messages: Iterable[np.ndarray], sched: ScrambleSchedule,
+          planes: list[int]) -> np.ndarray:
+    """Scramble each message with ``sched`` and write it into its bit plane.
+
+    Message k, as P4 rows, goes to planes[k]; planes must be distinct and
+    every message must match the cover side. Planes not listed stay
+    bit-identical. All planes share one permutation, so the messages are
+    folded into one byte per pixel and scrambled together. ``messages`` may
+    be any iterable; it is read once, and its rows are dropped before the scatter.
+    """
     cover, planes = as_gray(cover), check_planes(planes)
     # scatter first, then merge the cover into its output a block at a time
     stego = schedule_scramble(_fold(len(cover), messages, planes), sched)
@@ -106,33 +118,11 @@ def embed_rows(cover: np.ndarray, messages: Iterable[np.ndarray], sched: Scrambl
     return stego
 
 
-def embed(cover: np.ndarray, messages: Iterable[np.ndarray], sched: ScrambleSchedule,
-          planes: list[int]) -> np.ndarray:
-    """Scramble each message with ``sched`` and write it into its bit plane.
-
-    Message k goes to planes[k]; planes must be distinct and every message
-    must match the cover side. Planes not listed stay bit-identical. All
-    planes share one permutation, so the messages are packed into one byte
-    per pixel and scrambled together. ``messages`` may be any iterable: each
-    message is packed into P4 rows as it arrives and then released, so a
-    generator that reads them one by one holds one at a time.
-    """
-    cover, planes = as_gray(cover), check_planes(planes)
-    rows = (np.packbits(as_binary(msg), axis=1) if k < len(planes) else msg
-            for k, msg in enumerate(messages))
-    return embed_rows(cover, rows, sched, planes)
-
-
-def extract_rows(stego: np.ndarray, sched: ScrambleSchedule, planes: list[int]) -> list[np.ndarray]:
-    """``extract`` with each message as P4 rows."""
+def extract(stego: np.ndarray, sched: ScrambleSchedule, planes: list[int]) -> list[np.ndarray]:
+    """Read each listed plane and unscramble it back into a message, as P4 rows."""
     stego, planes = as_gray(stego), check_planes(planes)
     # the gather moves whole bytes, so the other planes need no mask first
     return split_rows(schedule_unscramble(stego, sched), planes)
-
-
-def extract(stego: np.ndarray, sched: ScrambleSchedule, planes: list[int]) -> list[np.ndarray]:
-    """Read each listed plane and unscramble it back into a message."""
-    return [rows_to_bits(rows) for rows in extract_rows(stego, sched, planes)]
 
 
 # -- byte payload packing ------------------------------------------------------
@@ -144,7 +134,7 @@ def capacity_bytes(side: int) -> int:
     return max(0, (side * side - 32) // 8)
 
 
-def pack_payload_rows(data: bytes, side: int) -> np.ndarray:
+def pack_payload(data: bytes, side: int) -> np.ndarray:
     """Lay bytes out as the P4 rows of a plane: 32-bit big-endian length
     header, then payload bytes MSB-first, zero padding, all row-major."""
     side = check_side(side)
@@ -159,13 +149,9 @@ def pack_payload_rows(data: bytes, side: int) -> np.ndarray:
     return stream.reshape(side, side // 8)
 
 
-def pack_payload(data: bytes, side: int) -> np.ndarray:
-    """``pack_payload_rows`` as a binary image."""
-    return rows_to_bits(pack_payload_rows(data, side))
-
-
-def unpack_payload_rows(rows: np.ndarray) -> bytes:
-    """Recover the bytes packed by pack_payload_rows."""
+def unpack_payload(rows: np.ndarray) -> bytes:
+    """Recover the bytes packed by pack_payload."""
+    rows = check_rows(rows)
     n = len(rows)
     if n * n < 32:
         raise ValueError("plane too small to hold a payload header")
@@ -175,8 +161,3 @@ def unpack_payload_rows(rows: np.ndarray) -> bytes:
         raise ValueError(f"corrupt payload header: {length} bytes claimed, "
                          f"plane holds at most {(n * n - 32) // 8}")
     return stream[4 : 4 + length].tobytes()
-
-
-def unpack_payload(bits: np.ndarray) -> bytes:
-    """Recover the bytes packed by pack_payload."""
-    return unpack_payload_rows(np.packbits(as_binary(bits), axis=1))

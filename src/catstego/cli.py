@@ -47,9 +47,9 @@ def cmd_embed(args) -> int:
     # each message stays P4 rows, 1/8 byte per pixel, from its file to the fold
     n = cover.shape[0]
     limit, what = bitplane.capacity_bytes(n), f"payload for one {n}x{n} plane"
-    messages = (bitplane.pack_payload_rows(_read_at_most(path, limit, what), n) if args.pack
+    messages = (bitplane.pack_payload(_read_at_most(path, limit, what), n) if args.pack
                 else netpbm.read_rows(path) for path in args.messages)
-    stego = bitplane.embed_rows(cover, messages, sched, planes)
+    stego = bitplane.embed(cover, messages, sched, planes)
     netpbm.write_gray(args.out, stego)
     print(metrics.compare(cover, stego).csv(), end="")
     return 0
@@ -60,9 +60,9 @@ def cmd_extract(args) -> int:
     sched, planes = _load_key(args.key)
     if len(args.outputs) != len(planes):
         raise ValueError(f"{len(args.outputs)} output files but key lists {len(planes)} planes")
-    for path, rows in zip(args.outputs, bitplane.extract_rows(stego, sched, planes)):
+    for path, rows in zip(args.outputs, bitplane.extract(stego, sched, planes)):
         if args.unpack:
-            netpbm.atomic_write_bytes(path, bitplane.unpack_payload_rows(rows))
+            netpbm.atomic_write_bytes(path, bitplane.unpack_payload(rows))
         else:
             netpbm.write_rows(path, rows)
     return 0

@@ -17,7 +17,7 @@ import re
 import numpy as np
 
 from .arnold import _decimal, check_side
-from .bitplane import as_binary, as_gray, rows_to_bits
+from .bitplane import as_binary, as_gray, check_rows, rows_to_bits
 
 # The header is read in one piece of at most this many bytes.
 _HEADER_MAX = 1 << 16
@@ -126,6 +126,7 @@ def read_binary(path) -> np.ndarray:
 
 def write_rows(path, rows: np.ndarray) -> None:
     """Write the P4 rows of a square plane, shape (n, ceil(n/8)), as binary PBM (P4)."""
+    rows = check_rows(rows)
     n = len(rows)
     atomic_write_bytes(path, np.ascontiguousarray(rows).ravel(), head=f"P4\n{n} {n}\n".encode("ascii"))
 

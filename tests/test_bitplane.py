@@ -10,8 +10,9 @@ from catstego.bitplane import (
     capacity_bytes,
     embed,
     extract,
-    get_plane,
     pack_payload,
+    rows_to_bits,
+    split_rows,
     unpack_payload,
 )
 from catstego.schedule import ScrambleSchedule
@@ -33,6 +34,15 @@ def _bits(n, seed=0):
     return np.random.default_rng(seed).integers(0, 2, (n, n), dtype=np.uint8)
 
 
+def _rows(bits):
+    return np.packbits(bits, axis=1)
+
+
+def get_plane(img, p):
+    """Bit p of every pixel, as a 0/1 image."""
+    return rows_to_bits(split_rows(img, [p])[0])
+
+
 # -- plane get/set ---------------------------------------------------------------
 
 
@@ -40,7 +50,7 @@ def set_plane(img, p, bits):
     """Replace bit p of every pixel with ``bits``: ``embed`` under a one-stage
     key with t = 0, which scrambles nothing."""
     key = ScrambleSchedule(len(img), (("CLASSIC", 1, 0),), (0,))
-    return embed(img, [bits], key, [p])
+    return embed(img, [_rows(bits)], key, [p])
 
 
 def test_get_plane_all_zero():
@@ -120,17 +130,17 @@ def test_embed_no_messages_is_cover():
 
 def test_embed_single_plane_touches_only_bit0():
     cover = _gray(8, seed=3)
-    stego = embed(cover, [_bits(8, seed=4)], SCHED8, [0])
+    stego = embed(cover, [_rows(_bits(8, seed=4))], SCHED8, [0])
     assert ((stego ^ cover) <= 1).all()
 
 
 def test_embed_three_planes_and_extract():
     cover = _gray(8, seed=5)
     msgs = [_bits(8, seed=10 + k) for k in range(3)]
-    stego = embed(cover, msgs, SCHED8, [0, 1, 2])
+    stego = embed(cover, map(_rows, msgs), SCHED8, [0, 1, 2])
     out = extract(stego, SCHED8, [0, 1, 2])
     for msg, back in zip(msgs, out):
-        assert np.array_equal(msg, back)
+        assert np.array_equal(_rows(msg), back)
 
 
 @given(st.integers(1, 24), st.data())
@@ -145,36 +155,36 @@ def test_embed_extract_match_plane_by_plane_reference(n, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     cover = _gray(n, seed)
     msgs = [_bits(n, seed + 1 + k) for k in range(len(planes))]
-    stego = embed(cover, msgs, sched, planes)
+    stego = embed(cover, map(_rows, msgs), sched, planes)
     assert np.array_equal(stego, reference_embed(cover, msgs, sched, planes))
     noisy = _gray(n, seed + 99)
     for got, want in zip(extract(noisy, sched, planes), reference_extract(noisy, sched, planes)):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, _rows(want))
 
 
 def test_embed_validation():
     cover = _gray(8)
-    msg = _bits(8)
+    msg = _rows(_bits(8))
     with pytest.raises(ValueError):
         embed(cover, [msg], SCHED8, [0, 1])
     with pytest.raises(ValueError):
         embed(cover, [msg, msg], SCHED8, [2, 2])
     with pytest.raises(ValueError):
-        embed(cover, [_bits(4)], SCHED8, [0])
+        embed(cover, [_rows(_bits(4))], SCHED8, [0])
     with pytest.raises(ValueError):
         embed(cover, [msg], SCHED8, [8])
 
 
 def test_embed_folds_messages_from_a_generator():
     cover = _gray(8, seed=5)
-    msgs = [_bits(8, seed=10 + k) for k in range(3)]
+    msgs = [_rows(_bits(8, seed=10 + k)) for k in range(3)]
     stego = embed(cover, (m for m in msgs), SCHED8, [0, 1, 2])
     assert np.array_equal(stego, embed(cover, msgs, SCHED8, [0, 1, 2]))
 
 
 @pytest.mark.parametrize("count", [0, 2, 4])
 def test_embed_counts_the_messages_of_a_generator(count):
-    msgs = (_bits(8, seed=k) for k in range(count))
+    msgs = (_rows(_bits(8, seed=k)) for k in range(count))
     with pytest.raises(ValueError, match=f"^{count} messages but 3 planes; counts must match$"):
         embed(_gray(8), msgs, SCHED8, [0, 1, 2])
 
@@ -183,9 +193,9 @@ def test_embed_holds_one_generated_message_at_a_time():
     n = 1024
     cover = _gray(n, seed=6)
     sched = ScrambleSchedule(n, SCHED8.stages, SCHED8.order)
-    # the packed byte and the scatter's 3 B/px; a message still held during
-    # the scatter would make it 5
-    messages = (_bits(n, k) for k in range(3))
+    # the packed byte and the scatter's 3 B/px; a 0/1 message still held
+    # during the scatter would make it 5
+    messages = (_rows(_bits(n, k)) for k in range(3))
     assert traced_peak(embed, cover, messages, sched, [0, 1, 2]) <= 4.5 * n * n
 
 
@@ -202,10 +212,10 @@ def test_low_planes_of_natural_image_look_like_noise():
 def test_extracted_plane_is_scrambled_not_plain():
     cover = _gray(8, seed=6)
     msg = _bits(8, seed=7)
-    stego = embed(cover, [msg], SCHED8, [0])
+    stego = embed(cover, [_rows(msg)], SCHED8, [0])
     raw = get_plane(stego, 0)
     assert not np.array_equal(raw, msg)
-    assert np.array_equal(extract(stego, SCHED8, [0])[0], msg)
+    assert np.array_equal(extract(stego, SCHED8, [0])[0], _rows(msg))
 
 
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 7), unique=True, min_size=1, max_size=5))
@@ -214,7 +224,7 @@ def test_plane_locality_and_perturbation_bound(seed, planes):
     cover = _gray(16, seed)
     msgs = [_bits(16, seed + 7 * k + 1) for k in range(len(planes))]
     sched = ScrambleSchedule(16, (("COLFIRST", 2, 5),), (0,))
-    stego = embed(cover, msgs, sched, planes)
+    stego = embed(cover, map(_rows, msgs), sched, planes)
     for q in range(8):
         if q not in planes:
             assert np.array_equal(get_plane(stego, q), get_plane(cover, q))
@@ -227,8 +237,8 @@ def test_capacity_k_planes_carry_exactly_k_n2_bits():
     cover = _gray(n, seed=8)
     sched = ScrambleSchedule(n, (("CLASSIC", 1, 3),), (0,))
     msgs = [_bits(n, seed=20 + k) for k in range(len(planes))]
-    stego = embed(cover, msgs, sched, planes)
-    recovered = extract(stego, sched, planes)
+    stego = embed(cover, map(_rows, msgs), sched, planes)
+    recovered = [rows_to_bits(rows) for rows in extract(stego, sched, planes)]
     carried = sum(m.size for m in recovered)
     assert carried == len(planes) * n * n
     for msg, back in zip(msgs, recovered):
@@ -239,13 +249,13 @@ def test_capacity_k_planes_carry_exactly_k_n2_bits():
 
 
 def test_pack_empty_payload():
-    img = pack_payload(b"", 8)
+    img = rows_to_bits(pack_payload(b"", 8))
     assert img.shape == (8, 8)
     assert not img.any()
 
 
 def test_pack_single_byte_layout():
-    img = pack_payload(b"\xa5", 8)
+    img = rows_to_bits(pack_payload(b"\xa5", 8))
     bits = img.ravel()
     assert bits[:32].tolist() == [0] * 31 + [1]
     assert bits[32:40].tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
@@ -279,12 +289,12 @@ def test_unpack_rejects_corrupt_header():
     img = np.zeros((8, 8), dtype=np.uint8)
     img[0, :] = 1  # claims a giant length
     with pytest.raises(ValueError, match="corrupt"):
-        unpack_payload(img)
+        unpack_payload(_rows(img))
 
 
 def test_unpack_rejects_tiny_plane():
     with pytest.raises(ValueError):
-        unpack_payload(np.zeros((5, 5), dtype=np.uint8))
+        unpack_payload(_rows(np.zeros((5, 5), dtype=np.uint8)))
 
 
 # -- validators ------------------------------------------------------------------

@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
+import catstego.bitplane
 import catstego.schedule
-from catstego.bitplane import capacity_bytes, get_plane
+from catstego.bitplane import capacity_bytes
 from catstego.cli import main
 from catstego.netpbm import read_binary, read_gray, write_binary, write_gray
 from catstego.schedule import (
@@ -95,7 +96,7 @@ def test_extract_raw_gives_scrambled_planes(workspace):
     sched, planes = parse_key((ws / "key.txt").read_text())
     for k, p in enumerate(planes):
         raw = read_binary(ws / "raw" / f"plane_{p}.pbm")
-        assert np.array_equal(raw, get_plane(stego, p))
+        assert np.array_equal(raw, (stego >> p) & 1)
         msg = read_binary(ws / f"msg{k}.pbm")
         assert np.array_equal(raw, schedule_scramble(msg, sched))
         assert not np.array_equal(raw, msg)
@@ -244,7 +245,7 @@ def test_planes_command(tmp_path):
     total = np.zeros_like(img, dtype=int)
     for p in range(8):
         plane = read_binary(tmp_path / "planes" / f"plane_{p}.pbm")
-        assert np.array_equal(plane, get_plane(img, p))
+        assert np.array_equal(plane, (img >> p) & 1)
         total += plane.astype(int) << p
     assert np.array_equal(total, img)
 
@@ -444,6 +445,39 @@ def test_scramble_direction_resolved_at_call_time(workspace, monkeypatch):
     assert main(["unscramble", str(ws / "s.pgm"), str(ws / "key.txt"),
                  str(ws / "u.pgm")]) == 0
     assert calls == ["schedule_scramble", "schedule_unscramble"]
+
+
+def test_commands_run_through_the_traced_bitplane_names(workspace, monkeypatch):
+    # a tracer rebinds these names after import; the commands must look them
+    # up at call time, or the traced layers read 0
+    calls = []
+    for name in ("embed", "extract", "pack_payload", "unpack_payload"):
+        orig = getattr(catstego.bitplane, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(catstego.bitplane, name, counted)
+    ws = workspace
+    sched, _ = parse_key((ws / "key.txt").read_text())
+    (ws / "one.txt").write_text(serialize_key(sched, [3]))
+    (ws / "secret.bin").write_bytes(b"payload")
+    key, cover = str(ws / "one.txt"), str(ws / "cover.pgm")
+    runs = [
+        (["embed", cover, key, str(ws / "stego.pgm"), str(ws / "msg0.pbm")], ["embed"]),
+        (["embed", "--pack", cover, key, str(ws / "packed.pgm"), str(ws / "secret.bin")],
+         ["embed", "pack_payload"]),
+        (["extract", str(ws / "stego.pgm"), key, str(ws / "o.pbm")], ["extract"]),
+        (["extract", "--unpack", str(ws / "packed.pgm"), key, str(ws / "o.bin")],
+         ["extract", "unpack_payload"]),
+    ]
+    for argv, want in runs:
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == want, argv[:2]
+    assert (ws / "o.pbm").read_bytes() == (ws / "msg0.pbm").read_bytes()
+    assert (ws / "o.bin").read_bytes() == b"payload"
 
 
 def test_each_command_scatters_once(workspace, monkeypatch):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from catstego.bitplane import embed, extract
+from catstego.bitplane import embed, extract, rows_to_bits
 from catstego.metrics import (
     MetricsReport,
     bit_preservation_ratio,
@@ -97,7 +97,7 @@ def test_expected_mse_for_random_plane_bits(k):
     rng = np.random.default_rng(60 + k)
     msgs = [rng.integers(0, 2, cover.shape, dtype=np.uint8) for _ in planes]
     sched = random_schedule(128, 2, random.Random(70 + k))
-    measured = mse(cover, embed(cover, msgs, sched, planes))
+    measured = mse(cover, embed(cover, [np.packbits(m, axis=1) for m in msgs], sched, planes))
     expected = 0.5 * sum(4**p for p in planes)
     assert abs(measured - expected) <= 0.10 * expected
 
@@ -118,7 +118,7 @@ def test_bit_preservation_random_plane():
     rng = np.random.default_rng(4)
     msg = rng.integers(0, 2, cover.shape, dtype=np.uint8)
     sched = random_schedule(128, 1, random.Random(5))
-    ratio = bit_preservation_ratio(cover, embed(cover, [msg], sched, [0]))
+    ratio = bit_preservation_ratio(cover, embed(cover, [np.packbits(msg, axis=1)], sched, [0]))
     assert ratio == pytest.approx(1 - 1 / 16, abs=0.01)
 
 
@@ -136,8 +136,8 @@ def test_wrong_key_agreement_near_half():
             continue
         msg = natural_binary(n, seed=300 + attempt)
         cover = natural_gray(n, seed=600 + attempt)
-        stego = embed(cover, [msg], true_key, [0])
-        wrong = extract(stego, wrong_key, [0])[0]
+        stego = embed(cover, [np.packbits(msg, axis=1)], true_key, [0])
+        wrong = rows_to_bits(extract(stego, wrong_key, [0])[0])
         agreements.append(float(np.mean(wrong == msg)))
     mean = sum(agreements) / len(agreements)
     assert abs(mean - 0.5) <= 0.1

@@ -10,17 +10,9 @@ import random
 import numpy as np
 import pytest
 
-from catstego.bitplane import (
-    embed_rows,
-    extract_rows,
-    get_plane,
-    pack_payload_rows,
-    rows_to_bits,
-    split_rows,
-    unpack_payload_rows,
-)
+from catstego.bitplane import embed, extract, pack_payload, rows_to_bits, split_rows, unpack_payload
 from catstego.cli import main
-from catstego.netpbm import read_binary, read_rows, write_binary
+from catstego.netpbm import read_binary, read_rows, write_binary, write_rows
 from catstego.schedule import ScrambleSchedule, serialize_key
 from oracles import reference_embed, reference_extract, reference_pack, reference_unpack
 
@@ -147,30 +139,30 @@ def test_split_rows_packs_every_plane_with_zero_padding(n):
     for p in range(8):
         bits = (img >> p) & 1
         assert np.array_equal(rows[p], np.packbits(bits, axis=1))
-        assert np.array_equal(get_plane(img, p), bits)
+        assert np.array_equal(rows_to_bits(rows[p]), bits)
     assert np.array_equal(split_rows(img, [5, 0])[0], rows[5])
 
 
 @pytest.mark.parametrize("n, size", [(6, 0), (7, 2), (13, 0), (13, 17), (16, 28), (129, 2076)])
 def test_payload_rows_match_the_referee(n, size):
     data = random.Random(size).randbytes(size)
-    rows = pack_payload_rows(data, n)
+    rows = pack_payload(data, n)
     assert rows.shape == (n, (n + 7) // 8)
     assert np.array_equal(rows, np.packbits(reference_pack(data, n), axis=1))
-    assert unpack_payload_rows(rows) == data
+    assert unpack_payload(rows) == data
     rows[:, -1] |= _padding(n)  # padding bits are not payload bits
-    assert unpack_payload_rows(rows) == data
+    assert unpack_payload(rows) == data
 
 
 def test_payload_rows_keep_the_payload_messages():
     with pytest.raises(ValueError, match="^payload of 3 bytes exceeds capacity: "
                                          "a 7x7 plane holds at most 2 bytes$"):
-        pack_payload_rows(b"abc", 7)
+        pack_payload(b"abc", 7)
     with pytest.raises(ValueError, match="^plane too small to hold a payload header$"):
-        unpack_payload_rows(np.zeros((5, 1), np.uint8))
+        unpack_payload(np.zeros((5, 1), np.uint8))
     with pytest.raises(ValueError, match="^corrupt payload header: 4294967295 bytes claimed, "
                                          "plane holds at most 2$"):
-        unpack_payload_rows(np.full((7, 1), 255, np.uint8))
+        unpack_payload(np.full((7, 1), 255, np.uint8))
 
 
 def test_row_path_round_trip_and_messages(tmp_path):
@@ -179,13 +171,70 @@ def test_row_path_round_trip_and_messages(tmp_path):
     cover = rng.integers(0, 256, (n, n), dtype=np.uint8)
     sched = ScrambleSchedule(n, (("COLFIRST", 2, 9),), (0,))
     msgs = [np.packbits(rng.integers(0, 2, (n, n), dtype=np.uint8), axis=1) for _ in range(2)]
-    stego = embed_rows(cover, iter(msgs), sched, [6, 1])
+    stego = embed(cover, iter(msgs), sched, [6, 1])
     assert np.array_equal(stego, reference_embed(cover, [rows_to_bits(m) for m in msgs], sched, [6, 1]))
-    for got, want in zip(extract_rows(stego, sched, [6, 1]), msgs):
+    for got, want in zip(extract(stego, sched, [6, 1]), msgs):
         assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="^message side 12 does not match cover side 13$"):
-        embed_rows(cover, [np.zeros((12, 2), np.uint8)], sched, [0])
+        embed(cover, [np.zeros((12, 2), np.uint8)], sched, [0])
     with pytest.raises(ValueError, match="^1 messages but 2 planes; counts must match$"):
-        embed_rows(cover, msgs[:1], sched, [0, 1])
+        embed(cover, msgs[:1], sched, [0, 1])
     (tmp_path / "m.pbm").write_bytes(_pbm(msgs[0]))
     assert np.array_equal(read_rows(tmp_path / "m.pbm"), msgs[0])
+
+
+# -- malformed rows --------------------------------------------------------------
+
+# Each is refused wherever rows come in from a caller. A 0/1 image of side
+# n >= 2 has n columns where P4 rows have ceil(n/8), so it is refused too.
+MALFORMED = {
+    "0/1 image 16": np.zeros((16, 16), np.uint8),
+    "0/1 image 4": np.eye(4, dtype=np.uint8),
+    "a byte short": np.zeros((16, 1), np.uint8),
+    "a byte long": np.zeros((16, 3), np.uint8),
+    "1-D": np.zeros(2, np.uint8),
+    "3-D": np.zeros((16, 2, 1), np.uint8),
+    "int64": np.zeros((16, 2), np.int64),
+    "bool": np.zeros((16, 2), bool),
+    "no rows": np.zeros((0, 0), np.uint8),
+}
+REFUSED = "^P4 rows must be uint8 of shape \\(n, ceil\\(n/8\\)\\) with n >= 1, got "
+
+
+@pytest.fixture(params=MALFORMED.values(), ids=MALFORMED.keys())
+def malformed(request):
+    return request.param
+
+
+def test_embed_refuses_malformed_rows(malformed):
+    sched = ScrambleSchedule(16, (("CLASSIC", 1, 3),), (0,))
+    with pytest.raises(ValueError, match=REFUSED):
+        embed(np.zeros((16, 16), np.uint8), [malformed], sched, [0])
+
+
+def test_unpack_payload_refuses_malformed_rows(malformed):
+    with pytest.raises(ValueError, match=REFUSED):
+        unpack_payload(malformed)
+
+
+def test_rows_to_bits_refuses_malformed_rows(malformed):
+    with pytest.raises(ValueError, match=REFUSED):
+        rows_to_bits(malformed)
+
+
+def test_write_rows_refuses_malformed_rows(malformed, tmp_path):
+    with pytest.raises(ValueError, match=REFUSED):
+        write_rows(tmp_path / "m.pbm", malformed)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_message_names_what_came_in():
+    with pytest.raises(ValueError, match=REFUSED + "int64 of shape \\(16, 2\\)$"):
+        rows_to_bits(np.zeros((16, 2), np.int64))
+
+
+def test_side_1_image_is_read_as_rows():
+    # the one side where a 0/1 image has the shape of P4 rows: a 1 sets only
+    # a padding bit, so it reads as 0; the pixel is the byte's top bit
+    assert rows_to_bits(np.ones((1, 1), np.uint8)).tolist() == [[0]]
+    assert rows_to_bits(np.packbits(np.ones((1, 1), np.uint8), axis=1)).tolist() == [[1]]
