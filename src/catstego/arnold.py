@@ -147,20 +147,25 @@ _TILE = 512  # columns of a transposed tile: _ROWS x 512 was fastest at side 204
 _ROWS = 128  # rows a band gathers or copies at a time, so its temporaries stay small
 
 
-def _det(m: tuple, n: int) -> int:
-    """det m mod n, which must be 1 or n - 1 for m to permute the grid."""
-    det = (m[0] * m[3] - m[1] * m[2]) % n
+def _det(m, n: int) -> tuple[tuple[int, int, int, int], int]:
+    """The one reader of a matrix: m's four integer entries reduced mod n, and
+    det m mod n, which must be 1 or n - 1 for m to permute the grid."""
+    try:
+        m = tuple(_as_int(x, "matrix entry") for x in m)
+        a, b, c, d = m
+    except (TypeError, ValueError):  # not iterable, not four entries, or not integers
+        raise ValueError(f"matrix must be four integers (a, b, c, d), got {m!r:.32}") from None
+    det = (a * d - b * c) % n
     if det not in (1 % n, n - 1):
-        raise ValueError(f"matrix {tuple(m)} must have det +-1 mod {n}, got {det}")
-    return det
+        raise ValueError(f"matrix {m} must have det +-1 mod {n}, got {det}")
+    return _reduce(m, n), det
 
 
 def _shears(m: tuple, n: int) -> list[tuple[int, int] | None]:
     """Factor the scatter by m mod n into steps, in application order: a pair
     (u, k) is the step [u 0; k 1] and None is a transpose. Identity steps are
     dropped, adjacent steps compose and adjacent transposes cancel."""
-    a, b, c, d = _reduce(m, n)
-    det = _det(m, n)
+    (a, b, c, d), det = _det(m, n)
     steps: list[tuple[int, int] | None] = []
     if math.gcd(b, n) != 1:
         # (a, b) is a unimodular row, so some a + k*b is a unit (Z/n has
@@ -280,8 +285,7 @@ def scatter(grid: np.ndarray, m: tuple) -> np.ndarray:
 
 def gather(grid: np.ndarray, m: tuple) -> np.ndarray:
     """Inverse of ``scatter(grid, m)``: a scatter by m^-1 = det [d -b; -c a]."""
-    a, b, c, d = m
-    det = _det(m, grid_side(grid))
+    (a, b, c, d), det = _det(m, grid_side(grid))
     return scatter(grid, (det * d, -det * b, -det * c, det * a))
 
 
@@ -289,8 +293,7 @@ def matrix_period(m: tuple, n: int) -> int:
     """Smallest p >= 1 with M^p = identity mod n, by iterated multiplication.
     m must have det +-1 mod n; any other matrix never returns to the identity."""
     n = check_side(n)
-    _det(m, n)
-    start = _reduce(m, n)
+    start, _ = _det(m, n)
     ident = _reduce(_IDENT, n)
     cur = start
     p = 1

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .arnold import _ROWS, _as_int, check_side, grid_side
+from .arnold import _ROWS, check_side, grid_side
 from .schedule import ScrambleSchedule, check_planes, schedule_scramble, schedule_unscramble
 
 
@@ -130,7 +130,7 @@ def extract(stego: np.ndarray, sched: ScrambleSchedule, planes: list[int]) -> li
 
 def capacity_bytes(side: int) -> int:
     """Largest payload (in bytes) that fits one side x side plane."""
-    side = _as_int(side, "side")
+    side = check_side(side)
     return max(0, (side * side - 32) // 8)
 
 

@@ -74,7 +74,6 @@ class MetricsReport(namedtuple("MetricsReport", "mse psnr bit_preservation")):
 
 
 def compare(cover: np.ndarray, stego: np.ndarray) -> MetricsReport:
-    cover, stego = _pair(cover, stego)
     m = mse(cover, stego)
     return MetricsReport(
         mse=m,

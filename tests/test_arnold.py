@@ -113,6 +113,10 @@ def test_non_unimodular_matrix_rejected():
     # det 4 is not +-1 mod 7, so the powers never return to the identity
     with pytest.raises(ValueError):
         matrix_period((2, 0, 0, 2), 7)
+    # a matrix is exactly four integers
+    for m in [(2, 1, 1), (2, 1, 1, 1, 7), (2.0, 1, 1, 1), "2111"]:
+        with pytest.raises(ValueError, match="four integers"):
+            matrix_period(m, 5)
 
 
 # -- golden orbits -------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catstego.arnold import FAMILIES
+from catstego.arnold import FAMILIES, MAX_SIDE
 from catstego.bitplane import (
     as_binary,
     as_gray,
@@ -277,6 +277,10 @@ def test_pack_capacity_limits():
     pack_payload(b"abcd", 8)
     with pytest.raises(ValueError, match="at most 4 bytes"):
         pack_payload(b"abcde", 8)
+    # a side is checked as pack_payload checks it
+    for side in (-10, 0, MAX_SIDE + 1):
+        with pytest.raises(ValueError, match="side"):
+            capacity_bytes(side)
 
 
 def test_pack_side_above_limit_rejected():

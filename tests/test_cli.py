@@ -209,6 +209,14 @@ def test_usage_error_exits_2(capsys):
     assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
+def test_unknown_family_is_a_validation_error(capsys):
+    # the tag is checked as a key file's STAGE tag is, with the same bounded echo
+    assert main(["period", "spiral", "5"]) == 1
+    assert capsys.readouterr().err == "error: unknown family tag 'SPIRAL'\n"
+    assert main(["period", "x" * 100_000, "5"]) == 1
+    assert len(capsys.readouterr().err.encode()) < 120
+
+
 def test_period_command(capsys):
     assert main(["period", "classic", "3"]) == 0
     assert capsys.readouterr().out.strip() == "4"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import traced_peak
 from catstego import arnold
-from catstego.arnold import _shears, gather, scatter
+from catstego.arnold import _shears, gather, matrix_period, scatter
 
 # 1 and 2 are degenerate rings; 6, 30 and 210 have several prime factors, so
 # there a and b can both be non-units and the search for k takes k >= 1
@@ -128,13 +128,30 @@ def test_factor_branches(m, n, expected):
     assert np.array_equal(gather(g, m), oracles.gather(g, reduced(m, n)))
 
 
-@pytest.mark.parametrize("m, n", [((2, 0, 0, 2), 4), ((2, 0, 0, 1), 7), ((0, 0, 0, 0), 3)])
+# not four integers: too few or too many entries, a float entry, a string
+MALFORMED = [(2, 1, 1), (2, 1, 1, 1, 7), (2.0, 1, 1, 1), "2111"]
+
+
+@pytest.mark.parametrize(
+    "m, n", [((2, 0, 0, 2), 4), ((2, 0, 0, 1), 7), ((0, 0, 0, 0), 3)] + [(m, 5) for m in MALFORMED]
+)
 def test_non_unimodular_matrix_rejected(m, n):
     g = grid(n, 0)
-    with pytest.raises(ValueError, match="det"):
+    fragment = "four integers" if m in MALFORMED else "det"
+    with pytest.raises(ValueError, match=fragment):
         scatter(g, m)
-    with pytest.raises(ValueError, match="det"):
+    with pytest.raises(ValueError, match=fragment):
         gather(g, m)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+@pytest.mark.parametrize("m, n", [((2, 1, 1, 1), 7), ((3, 4, 1, 1), 30), ((3, 2, 2, 3), 6)])
+def test_numpy_integer_matrix_equals_tuple(m, n, dtype):
+    g = grid(n, 4)
+    array = np.array(m, dtype=dtype)
+    assert np.array_equal(scatter(g, array), scatter(g, m))
+    assert np.array_equal(gather(g, array), gather(g, m))
+    assert matrix_period(array, n) == matrix_period(m, n)
 
 
 # -- dtypes, memory layouts and ownership -----------------------------------------
