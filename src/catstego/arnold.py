@@ -55,7 +55,7 @@ FAMILIES = ("CLASSIC", "ROWFIRST", "COLFIRST")
 def _family(tag):
     """``tag`` if it names a family; a ValueError otherwise."""
     if tag not in FAMILIES:
-        raise ValueError(f"unknown family tag {tag[:32] if isinstance(tag, str) else tag!r}")
+        raise ValueError(f"unknown family tag {repr(tag[:32]) if isinstance(tag, str) else repr(tag)[:32]}")
     return tag
 
 
@@ -157,7 +157,7 @@ def _det(m, n: int) -> tuple[tuple[int, int, int, int], int]:
         raise ValueError(f"matrix must be four integers (a, b, c, d), got {m!r:.32}") from None
     det = (a * d - b * c) % n
     if det not in (1 % n, n - 1):
-        raise ValueError(f"matrix {m} must have det +-1 mod {n}, got {det}")
+        raise ValueError(f"matrix {m!s:.32} must have det +-1 mod {n}, got {det}")
     return _reduce(m, n), det
 
 

@@ -1,9 +1,9 @@
 """Command-line surface tying scrambling, embedding, and metrics together.
 
-Exit status is 0 on success, 1 on any validation or I/O failure (with a
-diagnostic on stderr) and 2 on a command line that argparse refuses. Output
-files are written atomically, so a failed run never leaves a partial stego
-image, key, or report behind.
+Exit status is 0 on success, 1 on any bad value, numbers included, or I/O
+failure (with a diagnostic on stderr) and 2 only on a malformed command
+line. Output files are written atomically, so a failed run never leaves a
+partial stego image, key, or report behind.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bitplane, metrics, netpbm, schedule
-from .arnold import period
+from .arnold import _decimal, period
 
 
 def _read_at_most(path, limit: int, what: str) -> bytes:
@@ -72,7 +72,7 @@ def cmd_scramble(args) -> int:
 
 
 def cmd_period(args) -> int:
-    print(period(args.family, args.i, args.side))
+    print(period(args.family.upper(), _decimal(args.i, "parameter i"), _decimal(args.side, "side")))
     return 0
 
 
@@ -93,9 +93,11 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    rng = random.Random(args.seed)
-    sched = schedule.random_schedule(args.side, args.stages, rng)
-    text = schedule.serialize_key(sched, args.planes)
+    planes = schedule.check_planes([_decimal(p, "plane index") for p in args.planes])
+    rng = random.Random(None if args.seed is None else _decimal(args.seed, "seed"))
+    side, stages = _decimal(args.side, "side"), _decimal(args.stages, "stage count")
+    sched = schedule.random_schedule(side, stages, rng)
+    text = schedule.serialize_key(sched, planes)
     netpbm.atomic_write_bytes(args.out, text.encode("ascii"), mode=0o600)
     return 0
 
@@ -136,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_scramble)
 
     p = sub.add_parser("period", help="print the period of one transform")
-    p.add_argument("family", type=str.upper, help="classic, rowfirst, or colfirst")
-    p.add_argument("side", type=int, help="grid side N")
-    p.add_argument("--i", type=int, default=1, help="family parameter i (default 1)")
+    p.add_argument("family", help="classic, rowfirst, or colfirst")
+    p.add_argument("side", help="grid side N")
+    p.add_argument("--i", default="1", help="family parameter i (default 1)")
     p.set_defaults(func=cmd_period)
 
     p = sub.add_parser("planes", help="slice an image into its 8 bit planes")
@@ -152,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("keygen", help="write a random valid key file")
-    p.add_argument("side", type=int, help="image side N the key is for")
-    p.add_argument("stages", type=int, help="number of scramble stages m")
+    p.add_argument("side", help="image side N the key is for")
+    p.add_argument("stages", help="number of scramble stages m")
     p.add_argument("out", help="key file to write")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", default=None,
                    help="RNG seed; same seed reproduces the same key")
-    p.add_argument("--planes", type=int, nargs="+", default=(0, 1, 2),
+    p.add_argument("--planes", nargs="+", default=("0", "1", "2"),
                    help="target bit planes (default: 0 1 2)")
     p.set_defaults(func=cmd_keygen)
 

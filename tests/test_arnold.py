@@ -82,6 +82,9 @@ def _det(m):
     ("SPIRAL", 1, "unknown family tag 'SPIRAL'"),
     ("classic", 1, "unknown family tag 'classic'"),
     (None, 1, "unknown family tag None"),
+    # a tag that is not a str echoes at most 32 characters of its repr
+    pytest.param(b"x" * 100_000, 1, "unknown family tag b'" + "x" * 30, id="long-bytes-tag"),
+    pytest.param([0] * 100_000, 1, "unknown family tag [" + "0, " * 10 + "0", id="long-list-tag"),
     ("ROWFIRST", 2.0, "parameter i must be an integer, got 2.0"),
     ("COLFIRST", "3", "parameter i must be an integer, got '3'"),
 ])
@@ -111,8 +114,13 @@ def test_classic_ignores_i():
 
 def test_non_unimodular_matrix_rejected():
     # det 4 is not +-1 mod 7, so the powers never return to the identity
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         matrix_period((2, 0, 0, 2), 7)
+    assert str(err.value) == "matrix (2, 0, 0, 2) must have det +-1 mod 7, got 4"
+    # the det message echoes at most 32 characters of the matrix
+    with pytest.raises(ValueError) as err:
+        matrix_period((10**4000, 0, 0, 1), 5)
+    assert str(err.value) == f"matrix {'(1' + '0' * 30} must have det +-1 mod 5, got 0"
     # a matrix is exactly four integers
     for m in [(2, 1, 1), (2, 1, 1, 1, 7), (2.0, 1, 1, 1), "2111"]:
         with pytest.raises(ValueError, match="four integers"):

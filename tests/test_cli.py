@@ -204,9 +204,44 @@ def test_large_commands_round_trip(large):
 def test_usage_error_exits_2(capsys):
     # argparse refuses a malformed command line itself, with status 2
     with pytest.raises(SystemExit) as exc:
-        main(["period", "classic", "abc"])
+        main(["period", "classic"])
     assert exc.value.code == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert "the following arguments are required: side" in capsys.readouterr().err
+
+
+# each integer argument, in a command line that is fine apart from it
+INTEGER_ARGS = {
+    "period side": (["period", "classic", "{}"], "side"),
+    "period --i": (["period", "rowfirst", "16", "--i", "{}"], "parameter i"),
+    "keygen side": (["keygen", "{}", "2", "key.txt", "--seed", "1"], "side"),
+    "keygen stages": (["keygen", "16", "{}", "key.txt", "--seed", "1"], "stage count"),
+    "keygen --seed": (["keygen", "16", "2", "key.txt", "--seed", "{}"], "seed"),
+    "keygen --planes": (["keygen", "16", "2", "key.txt", "--planes", "0", "{}"], "plane index"),
+}
+
+
+@pytest.mark.parametrize("token", ["abc", "1_28", "+128", " 128 ", "\u0661\u0662\u0668", "1" * 100_000],
+                         ids=["abc", "underscore", "plus", "spaces", "arabic-indic", "100000-digits"])
+@pytest.mark.parametrize("arg", INTEGER_ARGS)
+def test_bad_number_is_a_validation_error(arg, token, tmp_path, monkeypatch, capsys):
+    # a number on the command line is read as a key file's line reads it
+    monkeypatch.chdir(tmp_path)
+    argv, what = INTEGER_ARGS[arg]
+    assert main([a.format(token) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {what} is not an integer: {token[:32]!r}\n"
+    assert len(err.encode()) < 120
+    assert not (tmp_path / "key.txt").exists()
+
+
+def test_keygen_refuses_bad_planes_before_the_periods(tmp_path, monkeypatch, capsys):
+    # at this side the periods alone take seconds, so the planes are read first
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main(["keygen", "131071", "1000", "key.txt", "--planes", "9", "--seed", "1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: plane index must be in [0, 7], got 9\n"
+    assert not (tmp_path / "key.txt").exists()
 
 
 def test_unknown_family_is_a_validation_error(capsys):

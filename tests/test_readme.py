@@ -3,8 +3,10 @@
 Each line that starts with ``catstego `` inside a fenced code block is
 split like a shell would, without its trailing ``# comment``, and parsed,
 not run, with the CLI's own parser, so a removed command or option left in
-the docs fails here. Each ```` ```python ```` block is run, in a directory
-that holds the 128x128 ``cover.pgm`` and ``secret.pbm`` the examples read.
+the docs fails here. The lines that need no input file (``keygen`` and
+``period``) are also run, so a bad number in them fails too. Each
+```` ```python ```` block is run, in a directory that holds the 128x128
+``cover.pgm`` and ``secret.pbm`` the examples read.
 """
 
 import shlex
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from catstego.cli import _PARSER
+from catstego.cli import _PARSER, main
 from catstego.netpbm import write_binary, write_gray
 from catstego.synth import natural_binary, natural_gray
 
@@ -45,6 +47,16 @@ def test_readme_commands_parse():
             _PARSER.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command refused by the parser: {command}")
+
+
+def test_readme_key_commands_run(tmp_path, monkeypatch, capsys):
+    commands = [shlex.split(c, comments=True)[1:] for c in _readme_commands()]
+    runnable = [argv for argv in commands if argv[0] in ("keygen", "period")]
+    assert {argv[0] for argv in runnable} == {"keygen", "period"}
+    monkeypatch.chdir(tmp_path)
+    for argv in runnable:
+        assert main(argv) == 0, f"README command failed: catstego {' '.join(argv)}"
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):
