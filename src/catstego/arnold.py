@@ -35,6 +35,8 @@ def _as_int(value, what: str) -> int:
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_SEPARATORS = " \t\n\r\x0b\x0c"  # between Netpbm header tokens; a key line ends at LF
+_WORD = re.compile(f"[^{_SEPARATORS}]+")  # one token of a line, which holds no LF
 
 
 def _decimal(token, what: str) -> int:

@@ -129,7 +129,8 @@ def extract(stego: np.ndarray, sched: ScrambleSchedule, planes: list[int]) -> li
 
 
 def capacity_bytes(side: int) -> int:
-    """Largest payload (in bytes) that fits one side x side plane."""
+    """Largest payload (in bytes) that fits one side x side plane; below side 6
+    the 32-bit length header does not fit, so no payload, not even b"", does."""
     side = check_side(side)
     return max(0, (side * side - 32) // 8)
 
@@ -140,8 +141,9 @@ def pack_payload(data: bytes, side: int) -> np.ndarray:
     side = check_side(side)
     data = bytes(data)
     if 32 + 8 * len(data) > side * side:
-        raise ValueError(f"payload of {len(data)} bytes exceeds capacity: "
-                         f"a {side}x{side} plane holds at most {capacity_bytes(side)} bytes")
+        limit = (f"has {side * side} of the 32 bits the length header needs" if side * side < 32
+                 else f"holds at most {capacity_bytes(side)} bytes")
+        raise ValueError(f"payload of {len(data)} bytes exceeds capacity: a {side}x{side} plane {limit}")
     stream = np.zeros(-(-side * side // 8), dtype=np.uint8)
     stream[: 4 + len(data)] = np.frombuffer(len(data).to_bytes(4, "big") + data, np.uint8)
     if side % 8:  # each row is padded to a byte, so the bits are laid out again

@@ -72,7 +72,8 @@ def cmd_scramble(args) -> int:
 
 
 def cmd_period(args) -> int:
-    print(period(args.family.upper(), _decimal(args.i, "parameter i"), _decimal(args.side, "side")))
+    family = args.family.upper() if args.family.isascii() else args.family  # Unicode maps U+017F to S
+    print(period(family, _decimal(args.i, "parameter i"), _decimal(args.side, "side")))
     return 0
 
 

@@ -16,14 +16,14 @@ import re
 
 import numpy as np
 
-from .arnold import _decimal, check_side
+from .arnold import _SEPARATORS, _decimal, check_side
 from .bitplane import as_binary, as_gray, check_rows, rows_to_bits
 
 # The header is read in one piece of at most this many bytes.
 _HEADER_MAX = 1 << 16
 # One header token after any whitespace and comments; a comment runs from "#"
 # to the next CR or LF, so it can be parsed only one way.
-_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*(?![^\r\n]))*([^ \t\n\r\x0b\x0c#]+)")
+_TOKEN = re.compile(f"(?:[{_SEPARATORS}]|#[^\r\n]*(?![^\r\n]))*([^{_SEPARATORS}#]+)".encode())
 
 
 class NetpbmError(ValueError):

@@ -5,7 +5,7 @@ A schedule is the whole secret key: a list of stages, each the tuple
 giving the order they are applied in.
 Unscrambling inverts the stages in reverse application order.
 
-Key file format (UTF-8, LF line endings, ``#`` starts a comment):
+Key file format (UTF-8; lines end at LF, ``#`` runs to it, Netpbm separators split tokens):
 
     N <side>
     M <stage count>
@@ -21,7 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .arnold import (_IDENT, FAMILIES, _as_int, _decimal, _family, _mul, _pow, _reduce,
+from .arnold import (_IDENT, _WORD, FAMILIES, _as_int, _decimal, _family, _mul, _pow, _reduce,
                      check_side, check_stage, grid_side, matrix_for, period)
 
 # called through these module names, so a tracer can rebind them (perfbench/spans.py)
@@ -122,7 +122,7 @@ def serialize_key(sched: ScrambleSchedule, planes: list[int]) -> str:
 
 def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
     """Parse key text back into (schedule, planes). Inverse of serialize_key."""
-    lines = ((n, raw.split("#", 1)[0].split()) for n, raw in enumerate(text.splitlines(), 1))
+    lines = ((n, _WORD.findall(raw.split("#", 1)[0])) for n, raw in enumerate(text.split("\n"), 1))
     entries = ((n, toks) for n, toks in lines if toks)
     lineno = None
 

@@ -250,6 +250,12 @@ def test_unknown_family_is_a_validation_error(capsys):
     assert capsys.readouterr().err == "error: unknown family tag 'SPIRAL'\n"
     assert main(["period", "x" * 100_000, "5"]) == 1
     assert len(capsys.readouterr().err.encode()) < 120
+    # only ASCII case is folded: str.upper would turn these into CLASSIC and ROWFIRST
+    for tag in ("claſſic", "rowﬁrst"):
+        assert main(["period", tag, "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unknown family tag {tag!r}\n"
+        assert len(err.encode()) < 120
 
 
 def test_period_command(capsys):
@@ -263,6 +269,9 @@ def test_period_command(capsys):
     col = capsys.readouterr().out.strip()
     main(["period", "classic", "5"])
     assert col == capsys.readouterr().out.strip()
+    for tag in ("Classic", "CLASSIC"):
+        assert main(["period", tag, "5"]) == 0
+        assert capsys.readouterr().out == "10\n"
 
 
 @pytest.mark.parametrize("argv", [

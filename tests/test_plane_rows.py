@@ -158,6 +158,9 @@ def test_payload_rows_keep_the_payload_messages():
     with pytest.raises(ValueError, match="^payload of 3 bytes exceeds capacity: "
                                          "a 7x7 plane holds at most 2 bytes$"):
         pack_payload(b"abc", 7)
+    with pytest.raises(ValueError, match="^payload of 0 bytes exceeds capacity: a 5x5 plane "
+                                         "has 25 of the 32 bits the length header needs$"):
+        pack_payload(b"", 5)
     with pytest.raises(ValueError, match="^plane too small to hold a payload header$"):
         unpack_payload(np.zeros((5, 1), np.uint8))
     with pytest.raises(ValueError, match="^corrupt payload header: 4294967295 bytes claimed, "

@@ -6,7 +6,8 @@ not run, with the CLI's own parser, so a removed command or option left in
 the docs fails here. The lines that need no input file (``keygen`` and
 ``period``) are also run, so a bad number in them fails too. Each
 ```` ```python ```` block is run, in a directory that holds the 128x128
-``cover.pgm`` and ``secret.pbm`` the examples read.
+``cover.pgm`` and ``secret.pbm`` the examples read. The example key under
+"Key file format" is parsed with ``parse_key``.
 """
 
 import shlex
@@ -16,6 +17,7 @@ import pytest
 
 from catstego.cli import _PARSER, main
 from catstego.netpbm import write_binary, write_gray
+from catstego.schedule import parse_key
 from catstego.synth import natural_binary, natural_gray
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -67,3 +69,11 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for code in examples:
         exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_key_example_parses():
+    section = README.read_text(encoding="utf-8").split("\n## Key file format\n", 1)[1]
+    key = section.split("```\n", 2)[1]  # the section's first fenced block
+    sched, planes = parse_key(key)
+    assert sched == (128, (("ROWFIRST", 5, 51), ("COLFIRST", 2, 5)), (1, 0))
+    assert planes == [0, 1, 2]

@@ -204,6 +204,12 @@ def test_schedule_attributes_cannot_be_assigned():
 
 # -- key file ------------------------------------------------------------------
 
+# The key text grammar is the Netpbm header's: a line ends only at LF, a "#"
+# comment runs to that LF, and tokens split only at space, TAB, CR, VT and FF.
+KEY = "N 8\nM 2\nSTAGE ROWFIRST 3 5\nSTAGE CLASSIC 1 2\nORDER 1 0\nPLANES 0 2\n"
+# str.splitlines breaks lines at all of these, and str.split splits at them too
+LINE_BREAKS = ["\r", "\x85", "\u2028", "\u2029", "\x1c", "\x1d", "\x1e"]
+
 
 def test_key_round_trip_concrete():
     sched = ScrambleSchedule(
@@ -323,6 +329,19 @@ def test_empty_planes_line_allowed():
          "line 2: stage count 1001 exceeds the limit of 1000"),
         (f"N 8\nM {'9' * 4300}\nSTAGE CLASSIC 1 1\nORDER 0\nPLANES 0\n",
          f"line 2: stage count {'9' * 32} exceeds the limit of 1000"),
+        # a non-ASCII space is part of a token, not a separator
+        *(pytest.param(KEY.replace("ROWFIRST 3 5", f"ROWFIRST 3{sep}5"),
+                       "line 3: STAGE line needs <family> <i> <t>", id=f"sep-U+{ord(sep):04X}-stage")
+          for sep in ("\xa0", "\u2009", "\u3000")),
+        *(pytest.param(KEY.replace("N 8", f"N{sep}8"),
+                       f"line 1: expected N line, got {'N' + sep + '8'!r}", id=f"sep-U+{ord(sep):04X}-tag")
+          for sep in ("\xa0", "\u2009", "\u3000")),
+        # only LF ends a line, and error line numbers count LF lines
+        *(pytest.param(KEY.replace("N 8\n", f"N 8{brk}", 1), "line 1: N line needs exactly one value",
+                       id=f"break-U+{ord(brk):04X}") for brk in LINE_BREAKS),
+        *(pytest.param(f"# a{brk}b\n" + KEY.replace("PLANES 0 2", "PLANES 9"),
+                       "line 7: plane index must be in [0, 7], got 9",
+                       id=f"break-U+{ord(brk):04X}-in-comment-line-count") for brk in LINE_BREAKS),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -346,6 +365,23 @@ def test_parse_errors_name_line_numbers():
     bad = "N 8\nM 1\nSTAGE CLASSIC 1 one\nORDER 0\nPLANES 0\n"
     with pytest.raises(KeyFormatError, match="line 3"):
         parse_key(bad)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_a_comment_runs_to_the_lf(brk):
+    assert parse_key(KEY.replace("N 8\n", f"N 8 # x{brk}M 9\n", 1)) == parse_key(KEY)
+
+
+@pytest.mark.parametrize("spell", [
+    pytest.param(lambda text: text.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(lambda text: text.replace(" ", "\t"), id="tab"),
+    pytest.param(lambda text: text.replace(" ", "\x0b"), id="vt"),
+    pytest.param(lambda text: text.replace(" ", "\x0c"), id="ff"),
+    pytest.param(lambda text: text.replace(" ", " \t\x0b\x0c\r ").replace("\n", " \r\n\t"),
+                 id="mixed"),
+])
+def test_netpbm_separators_split_tokens(spell):
+    assert parse_key(spell(KEY)) == parse_key(KEY)
 
 
 # -- random schedule generation ---------------------------------------------------
