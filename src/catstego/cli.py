@@ -39,6 +39,8 @@ def cmd_embed(args) -> int:
     # each message stays P4 rows, 1/8 byte per pixel, from its file to the fold
     n = cover.shape[0]
     limit, what = bitplane.capacity_bytes(n), f"payload for one {n}x{n} plane"
+    if args.pack and n * n < 32:  # not even the length header fits: refuse as b"" is, reading no file
+        bitplane.pack_payload(b"", n)
     messages = (bitplane.pack_payload(_read_at_most(path, limit, what), n) if args.pack
                 else netpbm.read_rows(path) for path in args.messages)
     stego = bitplane.embed(cover, messages, sched, planes)

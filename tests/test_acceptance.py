@@ -221,7 +221,7 @@ def test_criterion_7_period_sweep_csv_vs_oracle(tmp_path):
     with criterion(7, "period sweep CSV vs orbit oracle", 60.0):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "period_sweep_report.py"),
+            [sys.executable, str(ROOT / "scripts" / "paper_report.py"),
              "--side", "128", "--lo", "1", "--hi", "20", "--outdir", str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=60,
         )

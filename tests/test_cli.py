@@ -396,24 +396,32 @@ def test_key_from_a_pipe_is_read_with_a_bound(workspace):
         assert (done.returncode, done.stderr.decode()) == (status, err)
 
 
-@pytest.mark.parametrize("extra, status", [(0, 0), (1, 1)])
-def test_pack_payload_size_limit(tmp_path, capsys, extra, status):
+@pytest.mark.parametrize("side, extra, status", [
+    (128, 0, 0), (128, 1, 1),
+    # below side 6 not even the header fits: an empty and a 1-byte payload get one message
+    (5, 0, 1), (5, 1, 1),
+    (6, 0, 0), (6, 1, 1),
+], ids=["0-0", "1-1", "side5-0-1", "side5-1-1", "side6-0-0", "side6-1-1"])
+def test_pack_payload_size_limit(tmp_path, capsys, side, extra, status):
     # a 128x128 plane holds 2044 bytes; one more is refused, and no size is guessed
-    write_gray(tmp_path / "cover.pgm", natural_gray(128, seed=42))
-    (tmp_path / "key.txt").write_text(serialize_key(ScrambleSchedule(128, (("CLASSIC", 1, 5),), (0,)), [0]))
+    write_gray(tmp_path / "cover.pgm", natural_gray(side, seed=42))
+    (tmp_path / "key.txt").write_text(serialize_key(ScrambleSchedule(side, (("CLASSIC", 1, 5),), (0,)), [0]))
     secret = bytes(range(256)) * 8
-    (tmp_path / "secret.bin").write_bytes(secret[: capacity_bytes(128) + extra])
+    (tmp_path / "secret.bin").write_bytes(secret[: capacity_bytes(side) + extra])
     argv = ["embed", "--pack", str(tmp_path / "cover.pgm"), str(tmp_path / "key.txt"),
             str(tmp_path / "stego.pgm"), str(tmp_path / "secret.bin")]
     assert main(argv) == status
     if status:
         assert capsys.readouterr().err == (
-            f"error: {tmp_path / 'secret.bin'}: payload for one 128x128 plane exceeds 2044 bytes\n"
+            f"error: payload of 0 bytes exceeds capacity: a {side}x{side} plane "
+            f"has {side * side} of the 32 bits the length header needs\n" if side < 6 else
+            f"error: {tmp_path / 'secret.bin'}: payload for one {side}x{side} plane "
+            f"exceeds {capacity_bytes(side)} bytes\n"
         )
         return
     assert main(["extract", "--unpack", str(tmp_path / "stego.pgm"),
                  str(tmp_path / "key.txt"), str(tmp_path / "out.bin")]) == 0
-    assert (tmp_path / "out.bin").read_bytes() == secret[:2044]
+    assert (tmp_path / "out.bin").read_bytes() == secret[: capacity_bytes(side)]
 
 
 def test_oversized_payload_refused_without_reading_it(tmp_path, capsys):

@@ -7,10 +7,15 @@ the docs fails here. The lines that need no input file (``keygen`` and
 ``period``) are also run, so a bad number in them fails too. Each
 ```` ```python ```` block is run, in a directory that holds the 128x128
 ``cover.pgm`` and ``secret.pbm`` the examples read. The example key under
-"Key file format" is parsed with ``parse_key``.
+"Key file format" is parsed with ``parse_key``. Each ``python scripts/``
+line is run in a temporary directory with ``--side 16`` appended, so a
+deleted or renamed script left in the docs fails too.
 """
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +25,8 @@ from catstego.netpbm import write_binary, write_gray
 from catstego.schedule import parse_key
 from catstego.synth import natural_binary, natural_gray
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _readme_blocks():
@@ -59,6 +65,19 @@ def test_readme_key_commands_run(tmp_path, monkeypatch, capsys):
     for argv in runnable:
         assert main(argv) == 0, f"README command failed: catstego {' '.join(argv)}"
     assert capsys.readouterr().err == ""
+
+
+def test_readme_scripts_run(tmp_path):
+    commands = [shlex.split(line, comments=True) for _, lines in _readme_blocks()
+                for line in lines if line.startswith("python scripts/")]
+    assert commands
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for _, script, *args in commands:
+        done = subprocess.run(
+            [sys.executable, str(ROOT / script), *args, "--side", "16"],
+            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, f"README command failed: python {script} {' '.join(args)}\n{done.stderr}"
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):
