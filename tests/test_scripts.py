@@ -18,13 +18,23 @@ from catstego.arnold import period
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+REPORT = ROOT / "scripts" / "paper_report.py"
+
+# paper_report.py replaced psnr_table.py and period_sweep_report.py; each of
+# their names runs the report with the options only that script took.
+REPLACED = [
+    ("psnr_table.py", ["--covers", "1", "--seed", "5"]),
+    ("period_sweep_report.py", ["--lo", "3", "--hi", "9", "--outdir", "csv"]),
+]
+RUNS = [(s, []) for s in SCRIPTS] + [(REPORT, args) for _, args in REPLACED]
+RUN_IDS = [s.name for s in SCRIPTS] + [name for name, _ in REPLACED]
 
 
-def _run(script, cwd):
-    """Run ``script --side 16`` in ``cwd``, asserting exit status 0."""
+def _run(script, cwd, *args):
+    """Run ``script --side 16 *args`` in ``cwd``, asserting exit status 0."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script), "--side", "16"],
+        [sys.executable, str(script), "--side", "16", *args],
         cwd=cwd, capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -35,13 +45,13 @@ def test_scripts_found():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
-def test_script_runs(script, tmp_path):
-    _run(script, tmp_path)
+@pytest.mark.parametrize("script, args", RUNS, ids=RUN_IDS)
+def test_script_runs(script, args, tmp_path):
+    _run(script, tmp_path, *args)
 
 
 def test_paper_report_numbers(tmp_path):
-    lines = _run(ROOT / "scripts" / "paper_report.py", tmp_path).stdout.splitlines()
+    lines = _run(REPORT, tmp_path).stdout.splitlines()
     assert lines[0].split() == ["cover", "planes", "psnr", "dB", "closed", "form", "bits", "kept"]
     rows = [line.split() for line in lines[1:13]]
     assert [(int(c), int(k)) for c, k, *_ in rows] == [(c, k) for c in range(3) for k in (1, 2, 3, 4)]
