@@ -1,9 +1,9 @@
 """Command-line surface tying scrambling, embedding, and metrics together.
 
-Exit status is 0 on success, 1 on any bad value, numbers included, or I/O
-failure (with a diagnostic on stderr) and 2 only on a malformed command
-line. Output files are written atomically, so a failed run never leaves a
-partial stego image, key, or report behind.
+Exit status is 0 on success, 1 on any bad value, numbers included, I/O
+failure or failed allocation (with a diagnostic on stderr) and 2 only on a
+malformed command line. Output files are written atomically, so a failed
+run never leaves a partial stego image, key, or report behind.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bitplane, metrics, netpbm, schedule
-from .arnold import _decimal, period
+from .arnold import _IDENT, _decimal, period
 
 
 def _read_at_most(path, limit: int, what: str) -> bytes:
@@ -27,7 +27,12 @@ def _read_at_most(path, limit: int, what: str) -> bytes:
 
 
 def _load_key(path) -> tuple[schedule.ScrambleSchedule, list[int]]:
-    text = _read_at_most(path, schedule.MAX_KEY_BYTES, "key file").decode("utf-8")
+    data = _read_at_most(path, schedule.MAX_KEY_BYTES, "key file")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # numbered as parse_key numbers lines: in LF lines
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise schedule.KeyFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
     return schedule.parse_key(text)
 
 
@@ -36,6 +41,9 @@ def cmd_embed(args) -> int:
     sched, planes = _load_key(args.key)
     if len(args.messages) != len(planes):
         raise ValueError(f"{len(args.messages)} message files but key lists {len(planes)} planes")
+    if sched.side > 1 and schedule.composite_matrix(sched) == _IDENT:
+        raise ValueError(f"{args.key}: key composes to the identity, so it would embed "
+                         "the messages unscrambled")
     # each message stays P4 rows, 1/8 byte per pixel, from its file to the fold
     n = cover.shape[0]
     limit, what = bitplane.capacity_bytes(n), f"payload for one {n}x{n} plane"
@@ -178,8 +186,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

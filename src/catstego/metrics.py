@@ -13,50 +13,7 @@ import numpy as np
 from .bitplane import as_gray
 
 PEAK = 255
-_ROWS = 64  # rows per block in mse
-
-
-def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return as_gray(a), as_gray(b)
-
-
-def _db(m: float) -> float:
-    return 10.0 * math.log10(PEAK * PEAK / m)
-
-
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared intensity difference."""
-    a, b = _pair(a, b)
-    # the integer sum is exact, so one rounding (the division) gives the
-    # mean; blocks of rows keep the int16/int32 temporaries cache-sized
-    total = 0
-    for r in range(0, a.shape[0], _ROWS):
-        d = np.subtract(a[r : r + _ROWS], b[r : r + _ROWS], dtype=np.int16)
-        total += int(np.square(d, dtype=np.int32).sum(dtype=np.int64))
-    return total / a.size
-
-
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB. Identical images have no finite
-    PSNR, so that case raises rather than returning a number."""
-    m = mse(a, b)
-    if m == 0:
-        raise ValueError("images are identical: PSNR is infinite")
-    return _db(m)
-
-
-def bit_preservation_ratio(cover: np.ndarray, stego: np.ndarray) -> float:
-    """Fraction of all 8 * N * N cover bits left unchanged."""
-    cover, stego = _pair(cover, stego)
-    diff = np.bitwise_xor(cover, stego, order="C").reshape(-1)
-    # popcount 8 pixels per uint64 word, then the < 8 bytes left over
-    whole = diff.size - diff.size % 8
-    changed = int(np.bitwise_count(diff[:whole].view(np.uint64)).sum(dtype=np.int64))
-    changed += int(np.bitwise_count(diff[whole:]).sum(dtype=np.int64))
-    return 1.0 - changed / (8 * diff.size)
+_ROWS = 64  # rows per block in compare
 
 
 class MetricsReport(namedtuple("MetricsReport", "mse psnr bit_preservation")):
@@ -74,9 +31,25 @@ class MetricsReport(namedtuple("MetricsReport", "mse psnr bit_preservation")):
 
 
 def compare(cover: np.ndarray, stego: np.ndarray) -> MetricsReport:
-    m = mse(cover, stego)
-    return MetricsReport(
-        mse=m,
-        psnr=None if m == 0 else _db(m),
-        bit_preservation=bit_preservation_ratio(cover, stego),
-    )
+    """The mean squared intensity difference, the PSNR in dB (None for
+    identical images, whose PSNR is infinite) and the fraction of all
+    8 * N * N cover bits left unchanged, from one pass over both images."""
+    cover, stego = np.asarray(cover), np.asarray(stego)
+    if cover.shape != stego.shape:
+        raise ValueError(f"image shapes differ: {cover.shape} vs {stego.shape}")
+    cover, stego = as_gray(cover), as_gray(stego)
+    # both sums are exact integers, so each ratio is rounded once (the
+    # division); blocks of rows keep the temporaries cache-sized
+    squares = changed = 0
+    for r in range(0, cover.shape[0], _ROWS):
+        a, b = cover[r : r + _ROWS], stego[r : r + _ROWS]
+        d = np.subtract(a, b, dtype=np.int16)
+        squares += int(np.square(d, dtype=np.int32).sum(dtype=np.int64))
+        diff = np.bitwise_xor(a, b, order="C").reshape(-1)
+        # popcount 8 pixels per uint64 word, then the < 8 bytes left over
+        whole = diff.size - diff.size % 8
+        changed += int(np.bitwise_count(diff[:whole].view(np.uint64)).sum(dtype=np.int64))
+        changed += int(np.bitwise_count(diff[whole:]).sum(dtype=np.int64))
+    m = squares / cover.size
+    psnr = None if m == 0 else 10.0 * math.log10(PEAK * PEAK / m)
+    return MetricsReport(m, psnr, 1.0 - changed / (8 * cover.size))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -37,15 +38,19 @@ def atomic_write_bytes(path, data, mode: int = 0o666, head: bytes = b"") -> None
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".tmp.{os.urandom(8).hex()}.part")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, mode)
+    fd = None
     try:
+        fd = os.open(tmp, flags, mode)
         with os.fdopen(fd, "wb") as fh:
             fh.write(head)
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    except BaseException as exc:
+        if fd is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:  # name the output, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -82,14 +87,19 @@ def _header(fh, magics: tuple[bytes, ...], path) -> tuple[bytes, int, bytes]:
 
 
 def _raster(fh, start: bytes, shape: tuple[int, int], path) -> np.ndarray:
-    """The raster: the bytes of ``start`` it needs, then the rest from ``fh``."""
+    """The raster: the bytes of ``start`` it needs, then the rest from ``fh``.
+    A regular file too short to hold it is refused before it is allocated."""
+    size = shape[0] * shape[1]
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and (held := len(start) + st.st_size - fh.tell()) < size:
+        raise NetpbmError(f"{path}: truncated raster, expected {size} bytes, got {held}")
     raster = np.empty(shape, np.uint8)
     buf = memoryview(raster).cast("B")
     got = min(len(start), len(buf))
     buf[:got] = start[:got]
     got += fh.readinto(buf[got:])
-    if got < raster.size:
-        raise NetpbmError(f"{path}: truncated raster, expected {raster.size} bytes, got {got}")
+    if got < size:
+        raise NetpbmError(f"{path}: truncated raster, expected {size} bytes, got {got}")
     return raster
 
 

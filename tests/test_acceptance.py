@@ -21,7 +21,7 @@ import numpy as np
 from catstego.arnold import FAMILIES, matrix_for, period
 from catstego.bitplane import embed, extract, rows_to_bits
 from catstego.cli import main
-from catstego.metrics import bit_preservation_ratio, mse, psnr
+from catstego.metrics import compare
 from catstego.netpbm import read_binary, write_binary, write_gray
 from catstego.schedule import (
     ScrambleSchedule,
@@ -118,7 +118,7 @@ def test_criterion_3_psnr_closed_form_bands():
             stego = embed(cover, [np.packbits(m, axis=1) for m in msgs], sched, planes)
             expected_mse = 0.5 * sum(4**p for p in planes)
             closed_form = 10 * math.log10(255**2 / expected_mse)
-            measured = psnr(cover, stego)
+            measured = compare(cover, stego).psnr
             assert abs(measured - closed_form) <= 0.5, (k, measured, closed_form)
             for name, row in REFERENCE_PSNR_DB.items():
                 assert abs(closed_form - row[k - 1]) <= 1.5, (k, name)
@@ -214,7 +214,7 @@ def test_criterion_6_plane_locality_invariants():
                     ), (trial, q)
             bound = sum(2**p for p in planes)
             assert (np.abs(stego.astype(int) - cover.astype(int)) <= bound).all()
-            assert bit_preservation_ratio(cover, stego) >= 1 - len(planes) / 8
+            assert compare(cover, stego).bit_preservation >= 1 - len(planes) / 8
 
 
 def test_criterion_7_period_sweep_csv_vs_oracle(tmp_path):

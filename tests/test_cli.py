@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import catstego.bitplane
+import catstego.netpbm
 import catstego.schedule
 from catstego.bitplane import capacity_bytes
 from catstego.cli import main
@@ -84,6 +85,14 @@ def test_bad_key_fails_with_line_number(workspace, capsys):
     rc = main(["extract", str(ws / "cover.pgm"), str(ws / "bad.txt"), str(ws / "o.pbm")])
     assert rc == 1
     assert "line 3" in capsys.readouterr().err
+    # bytes that are not UTF-8 get a line number too, counted in LF lines
+    (ws / "bad.txt").write_bytes(b"N 32\r\nM 1\n# caf\xe9\nSTAGE CLASSIC 1 2\n")
+    rc = main(["extract", str(ws / "cover.pgm"), str(ws / "bad.txt"), str(ws / "o.pbm")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text (invalid continuation byte)\n"
+    (ws / "bad.txt").write_bytes(b"\xff")
+    assert main(["extract", str(ws / "cover.pgm"), str(ws / "bad.txt"), str(ws / "o.pbm")]) == 1
+    assert capsys.readouterr().err == "error: line 1: not UTF-8 text (invalid start byte)\n"
 
 
 def test_extract_raw_gives_scrambled_planes(workspace):
@@ -446,6 +455,89 @@ def test_missing_file_fails_cleanly(tmp_path, capsys):
     rc = main(["metrics", str(tmp_path / "nope.pgm"), str(tmp_path / "nope.pgm")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("magic, argv", [
+    ("P5", "scramble h.img key.txt out.img"),
+    ("P5", "metrics h.img cover.pgm"),
+    ("P5", "embed h.img key.txt out.img msg0.pbm msg1.pbm"),
+    ("P5", "planes h.img planes.d"),
+    ("P4", "scramble h.img key.txt out.img"),
+    ("P4", "embed cover.pgm key.txt out.img h.img msg1.pbm"),
+], ids=["P5-scramble", "P5-metrics", "P5-embed", "P5-planes", "P4-scramble", "P4-embed"])
+def test_header_only_file_refused_before_the_raster_is_allocated(workspace, magic, argv, capsys):
+    # the header promises a 131072² raster; the file holds none of it
+    ws = workspace
+    (ws / "h.img").write_bytes(f"{magic}\n{MAX_SIDE} {MAX_SIDE}\n".encode() + b"255\n" * (magic == "P5"))
+    statuses = []
+    peak = traced_peak(lambda: statuses.append(main([str(ws / w) if "." in w else w
+                                                     for w in argv.split()])))
+    size = MAX_SIDE * (MAX_SIDE if magic == "P5" else MAX_SIDE // 8)
+    assert statuses == [1]
+    assert capsys.readouterr().err == (
+        f"error: {ws / 'h.img'}: truncated raster, expected {size} bytes, got 0\n")
+    assert peak < 1 << 20
+    assert not (ws / "out.img").exists() and not (ws / "planes.d").exists()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 16.0 GiB for an array"), "Unable to allocate 16.0 GiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+def test_memory_error_is_reported(workspace, monkeypatch, capsys, exc, message):
+    def refuse(path):
+        raise exc
+
+    monkeypatch.setattr(catstego.netpbm, "read_gray", refuse)
+    ws = workspace
+    assert main(["metrics", str(ws / "cover.pgm"), str(ws / "cover.pgm")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _parts(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith(".tmp."))
+
+
+@pytest.mark.parametrize("command", ["scramble", "keygen"])
+def test_write_errors_name_the_output(workspace, command, monkeypatch, capsys):
+    ws = workspace
+    monkeypatch.chdir(ws)
+    (ws / "adir").mkdir()
+    for out, reason in (("nodir/x.out", "No such file or directory"), ("adir", "Is a directory")):
+        argv = (["scramble", "cover.pgm", "key.txt", out] if command == "scramble"
+                else ["keygen", "32", "2", out, "--seed", "1"])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"{reason}: {out!r}\n"), err
+        assert ".tmp." not in err
+        assert _parts(ws) == [] and list((ws / "adir").iterdir()) == []
+
+
+def test_embed_refuses_an_identity_key(workspace, capsys):
+    ws = workspace
+    cover, msgs = str(ws / "cover.pgm"), [str(ws / "msg0.pbm"), str(ws / "msg1.pbm")]
+    # t = 0, and stages whose powers compose to I: CLASSIC has period 24 at side 32
+    for stages in ("STAGE CLASSIC 1 0\n", "STAGE CLASSIC 1 24\n",
+                   "STAGE CLASSIC 1 5\nSTAGE COLFIRST 1 19\n"):
+        m = stages.count("\n")
+        (ws / "weak.txt").write_text(f"N 32\nM {m}\n{stages}ORDER {' '.join(map(str, range(m)))}\n"
+                                     "PLANES 0 1\n")
+        for extra in ([], ["--pack"]):
+            assert main(["embed", *extra, cover, str(ws / "weak.txt"), str(ws / "stego.pgm"), *msgs]) == 1
+            assert capsys.readouterr() == ("", f"error: {ws / 'weak.txt'}: key composes to the identity, "
+                                               "so it would embed the messages unscrambled\n")
+            assert not (ws / "stego.pgm").exists()
+    # the key still scrambles, unscrambles and extracts, and side 1 still embeds
+    for command in ("scramble", "unscramble"):
+        assert main([command, cover, str(ws / "weak.txt"), str(ws / f"{command}.pgm")]) == 0
+        assert (ws / f"{command}.pgm").read_bytes() == (ws / "cover.pgm").read_bytes()
+    assert main(["extract", cover, str(ws / "weak.txt"), str(ws / "o0.pbm"), str(ws / "o1.pbm")]) == 0
+    write_gray(ws / "one.pgm", np.array([[7]], dtype=np.uint8))
+    write_binary(ws / "one.pbm", np.array([[1]], dtype=np.uint8))
+    (ws / "one.txt").write_text("N 1\nM 1\nSTAGE CLASSIC 1 0\nORDER 0\nPLANES 3\n")
+    assert main(["embed", str(ws / "one.pgm"), str(ws / "one.txt"), str(ws / "s1.pgm"),
+                 str(ws / "one.pbm")]) == 0
+    assert read_gray(ws / "s1.pgm")[0, 0] == 15
 
 
 @pytest.fixture

@@ -157,6 +157,10 @@ def test_truncated_raster_rejected(tmp_path):
     with pytest.raises(NetpbmError) as err:
         read_gray(path)
     assert str(err.value) == f"{path}: truncated raster, expected 90000 bytes, got 70000"
+    # a pipe has no size to check first: its raster is read until the pipe ends
+    with pytest.raises(NetpbmError) as err:
+        _from_pipe([b"P5\n300 300\n255\n", bytes(70_000)], read_gray)
+    assert str(err.value).endswith(": truncated raster, expected 90000 bytes, got 70000")
 
 
 def test_bad_magic_rejected(tmp_path):

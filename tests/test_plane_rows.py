@@ -14,7 +14,8 @@ from catstego.bitplane import embed, extract, pack_payload, rows_to_bits, split_
 from catstego.cli import main
 from catstego.netpbm import read_binary, read_rows, write_binary, write_rows
 from catstego.schedule import ScrambleSchedule, serialize_key
-from oracles import reference_embed, reference_extract, reference_pack, reference_unpack
+from oracles import (composite_matrix, reference_embed, reference_extract, reference_pack,
+                     reference_unpack)
 
 
 def _pgm(img):
@@ -100,8 +101,14 @@ def test_cli_matches_the_referee(n, tmp_path, capsys):
         (w / f"m{k}.pbm").write_bytes(_pbm(np.packbits(msg, axis=1)))
     key, count = str(w / "key.txt"), range(len(planes))
 
-    assert main(["embed", str(w / "cover.pgm"), key, str(w / "stego.pgm"),
-                 *(str(w / f"m{k}.pbm") for k in count)]) == 0
+    status = main(["embed", str(w / "cover.pgm"), key, str(w / "stego.pgm"),
+                   *(str(w / f"m{k}.pbm") for k in count)])
+    if n > 1 and composite_matrix(sched, n) == (1, 0, 0, 1):  # it would embed in the clear
+        assert status == 1
+        assert f"{key}: key composes to the identity" in capsys.readouterr().err
+        assert not (w / "stego.pgm").exists()
+        return
+    assert status == 0
     stego = reference_embed(cover, msgs, sched, planes)
     assert (w / "stego.pgm").read_bytes() == _pgm(stego)
     assert main(["extract", str(w / "stego.pgm"), key, *(str(w / f"o{k}.pbm") for k in count)]) == 0
