@@ -13,6 +13,9 @@ range of i values for the same side, writes one CSV per shape, and prints
 the distinct period sets. The period caps how many iterations a stage can
 usefully run, so the spread of available periods is what makes i worth
 keeping secret.
+
+Walkthrough inputs: the first cover above and three secret binary images,
+written as cover.pgm and secret0.pbm..secret2.pbm next to the CSVs.
 """
 
 import argparse
@@ -25,8 +28,9 @@ import numpy as np
 from catstego.arnold import period
 from catstego.bitplane import embed
 from catstego.metrics import compare
+from catstego.netpbm import write_binary, write_gray
 from catstego.schedule import random_schedule
-from catstego.synth import natural_gray
+from catstego.synth import natural_binary, natural_gray
 
 
 def distortion_table(side, covers, seed):
@@ -47,7 +51,6 @@ def distortion_table(side, covers, seed):
 
 
 def period_sweep(side, lo, hi, outdir):
-    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for family in ("ROWFIRST", "COLFIRST"):
         path = outdir / f"periods_{family.lower()}_n{side}.csv"
@@ -63,6 +66,15 @@ def period_sweep(side, lo, hi, outdir):
         print(f"  distinct periods: {sorted(periods)}")
 
 
+def demo_images(side, seed, outdir):
+    write_gray(outdir / "cover.pgm", natural_gray(side, seed=seed))
+    print(f"wrote {outdir / 'cover.pgm'} ({side}x{side})")
+    for k in range(3):  # keygen's default plane count
+        path = outdir / f"secret{k}.pbm"
+        write_binary(path, natural_binary(side, seed=seed + 100 + k))
+        print(f"wrote {path}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--side", type=int, default=128, help="image side N")
@@ -70,11 +82,13 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--lo", type=int, default=1, help="first i of the period sweep")
     ap.add_argument("--hi", type=int, default=20, help="last i of the period sweep")
-    ap.add_argument("--outdir", default="sweep_out", help="directory for the period CSVs")
+    ap.add_argument("--outdir", default="sweep_out", help="directory for the CSVs and images")
     args = ap.parse_args()
 
     distortion_table(args.side, args.covers, args.seed)
-    period_sweep(args.side, args.lo, args.hi, args.outdir)
+    outdir = Path(args.outdir)
+    period_sweep(args.side, args.lo, args.hi, outdir)
+    demo_images(args.side, args.seed, outdir)
 
 
 if __name__ == "__main__":

@@ -97,15 +97,19 @@ def grid_side(grid: np.ndarray) -> int:
 MAX_SIDE = 1 << 17
 
 
+def _bounded(value, what: str, limit: int) -> int:
+    """``value`` as an integer in [1, ``limit``]; errors name it ``what`` and echo at most 32 characters."""
+    n = _as_int(value, what)
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n!s:.32}")
+    if n > limit:
+        raise ValueError(f"{what} {n!s:.32} exceeds the limit of {limit}")
+    return n
+
+
 def check_side(n) -> int:
     """Validate a grid side, an integer in [1, MAX_SIDE], and return it."""
-    n = _as_int(n, "side")
-    # a parsed integer is echoed as at most 32 characters, as _decimal does
-    if n < 1:
-        raise ValueError(f"side must be >= 1, got {n!s:.32}")
-    if n > MAX_SIDE:
-        raise ValueError(f"side {n!s:.32} exceeds the limit of {MAX_SIDE}")
-    return n
+    return _bounded(n, "side", MAX_SIDE)
 
 
 # -- modular 2x2 arithmetic (entries kept reduced mod n) ----------------------

@@ -138,9 +138,8 @@ def capacity_bytes(side: int) -> int:
 def pack_payload(data: bytes, side: int) -> np.ndarray:
     """Lay bytes out as the P4 rows of a plane: 32-bit big-endian length
     header, then payload bytes MSB-first, zero padding, all row-major."""
-    side = check_side(side)
-    data = bytes(data)
-    if 32 + 8 * len(data) > side * side:
+    side, data = check_side(side), bytes(data)
+    if side * side < 32 or len(data) > capacity_bytes(side):
         limit = (f"has {side * side} of the 32 bits the length header needs" if side * side < 32
                  else f"holds at most {capacity_bytes(side)} bytes")
         raise ValueError(f"payload of {len(data)} bytes exceeds capacity: a {side}x{side} plane {limit}")
@@ -159,7 +158,6 @@ def unpack_payload(rows: np.ndarray) -> bytes:
         raise ValueError("plane too small to hold a payload header")
     stream = np.packbits(rows_to_bits(rows)) if n % 8 else rows.reshape(-1)
     length = int.from_bytes(stream[:4].tobytes(), "big")
-    if 32 + 8 * length > n * n:
-        raise ValueError(f"corrupt payload header: {length} bytes claimed, "
-                         f"plane holds at most {(n * n - 32) // 8}")
+    if length > (limit := capacity_bytes(n)):
+        raise ValueError(f"corrupt payload header: {length} bytes claimed, plane holds at most {limit}")
     return stream[4 : 4 + length].tobytes()

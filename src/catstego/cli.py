@@ -9,6 +9,7 @@ run never leaves a partial stego image, key, or report behind.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from pathlib import Path
@@ -62,6 +63,10 @@ def cmd_extract(args) -> int:
     sched, planes = _load_key(args.key)
     if len(args.outputs) != len(planes):
         raise ValueError(f"{len(args.outputs)} output files but key lists {len(planes)} planes")
+    outs = [os.path.split(path) for path in args.outputs]  # os.replace swaps a symlink, not its target
+    for k, (head, name) in enumerate(outs):  # a later plane would overwrite an earlier one
+        if any(name == n and os.path.realpath(head) == os.path.realpath(h) for h, n in outs[:k]):
+            raise ValueError(f"output path {args.outputs[k]} is given twice; each key plane needs its own file")
     for path, rows in zip(args.outputs, bitplane.extract(stego, sched, planes)):
         if args.unpack:
             netpbm.atomic_write_bytes(path, bitplane.unpack_payload(rows))

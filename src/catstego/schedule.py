@@ -21,8 +21,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .arnold import (_IDENT, _WORD, FAMILIES, _as_int, _decimal, _family, _mul, _pow, _reduce,
-                     check_side, check_stage, grid_side, matrix_for, period)
+from .arnold import (_IDENT, _WORD, FAMILIES, _as_int, _bounded, _decimal, _family, _mul, _pow,
+                     _reduce, check_side, check_stage, grid_side, matrix_for, period)
 
 # called through these module names, so a tracer can rebind them (perfbench/spans.py)
 from .arnold import gather as unscramble, scatter as scramble
@@ -39,14 +39,6 @@ MAX_KEY_BYTES = 1 << 16
 MAX_STAGES = 1000
 
 
-def _stage_count(m: int) -> int:
-    if m < 1:
-        raise ValueError(f"stage count must be >= 1, got {m!s:.32}")
-    if m > MAX_STAGES:
-        raise ValueError(f"stage count {m!s:.32} exceeds the limit of {MAX_STAGES}")
-    return m
-
-
 class ScrambleSchedule(namedtuple("ScrambleSchedule", "side stages order")):
     """The key as the named tuple (side, stages, order), each stage (family, i, t);
     it is checked and normalized however it is made, ``_replace`` and ``_make`` too."""
@@ -56,7 +48,7 @@ class ScrambleSchedule(namedtuple("ScrambleSchedule", "side stages order")):
     def __new__(cls, side, stages, order):
         side = check_side(side)
         stages = tuple(check_stage(*stage) for stage in stages)
-        _stage_count(len(stages))
+        _bounded(len(stages), "stage count", MAX_STAGES)
         order = tuple(_as_int(j, "order entry") for j in order)
         if sorted(order) != list(range(len(stages))):
             raise ValueError(
@@ -141,7 +133,7 @@ def parse_key(text: str) -> tuple[ScrambleSchedule, list[int]]:
     # each line is checked as it is read, so a ValueError names the line taken last
     try:
         side = check_side(_decimal(take("N", 2)[1], "side"))
-        m = _stage_count(_decimal(take("M", 2)[1], "stage count"))
+        m = _bounded(_decimal(take("M", 2)[1], "stage count"), "stage count", MAX_STAGES)
         stages = []
         for _ in range(m):
             _, family, i, t = take("STAGE", 4, "<family> <i> <t>")
@@ -168,7 +160,7 @@ def random_schedule(side: int, m: int, rng: random.Random) -> ScrambleSchedule:
     A draw that composes to the identity would scramble nothing, so it is
     drawn again, except at side 1, where every matrix is the identity.
     """
-    m = _stage_count(_as_int(m, "stage count"))
+    m = _bounded(m, "stage count", MAX_STAGES)
     periods: dict[tuple[str, int], int] = {}  # i <= 20, so at most 41 transforms
     while True:
         stages = []

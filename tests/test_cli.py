@@ -111,6 +111,20 @@ def test_extract_raw_gives_scrambled_planes(workspace):
         assert not np.array_equal(raw, msg)
 
 
+@pytest.mark.parametrize("again", ["o.pbm", "./o.pbm", "here/o.pbm"])
+@pytest.mark.parametrize("mode", [[], ["--unpack"]], ids=["rows", "unpack"])
+def test_extract_refuses_a_repeated_output(workspace, monkeypatch, capsys, again, mode):
+    # the second plane would overwrite the first: refused before any file is written
+    monkeypatch.chdir(workspace)
+    (workspace / "here").symlink_to(".")  # the same directory under another name
+    assert main(["embed", "cover.pgm", "key.txt", "stego.pgm", "msg0.pbm", "msg1.pbm"]) == 0
+    capsys.readouterr()
+    assert main(["extract", *mode, "stego.pgm", "key.txt", "o.pbm", again]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output path {again} is given twice; each key plane needs its own file\n")
+    assert not (workspace / "o.pbm").exists()
+
+
 def test_pack_unpack_payload_flow(tmp_path):
     cover = natural_gray(64, seed=40)
     write_gray(tmp_path / "cover.pgm", cover)
